@@ -11,7 +11,7 @@ from .core import (ApsError, DuplicateCellError, EmptyRowError,
                    InvalidLabelError, LengthMismatchError, PerformanceMatrix,
                    ScoreMeta, ScoreOutOfRangeError, UnknownAlgorithmError,
                    UnknownDatasetError, ZeroColumnError, build_matrix,
-                   complete_rows, normalize_per_axis, row_vector)
+                   complete_rows)
 from .ingest import (ValidationReport, load_thesis_matrix, parse_long,
                      parse_wide, validate, write_long, write_wide)
 from .metrics import (DiversityBreakdown, MetricReport, MetricRow, difficulty,
@@ -28,8 +28,7 @@ __all__ = [
     "ApsError", "DuplicateCellError", "EmptyRowError", "InvalidLabelError",
     "LengthMismatchError", "PerformanceMatrix", "ScoreMeta",
     "ScoreOutOfRangeError", "UnknownAlgorithmError", "UnknownDatasetError",
-    "ZeroColumnError", "build_matrix", "complete_rows", "normalize_per_axis",
-    "row_vector",
+    "ZeroColumnError", "build_matrix", "complete_rows",
     "ValidationReport", "load_thesis_matrix", "parse_long", "parse_wide",
     "validate", "write_long", "write_wide",
     "DiversityBreakdown", "MetricReport", "MetricRow", "difficulty",

@@ -42,7 +42,7 @@ class _DataError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved options for one run (worker_count already an int)."""
+    """Fully resolved options for one run; the field defaults are the CLI's."""
 
     input_path: str | None = None
     input_format: str = "auto"
@@ -50,7 +50,6 @@ class RunConfig:
     diversity_variant: str = "nth-root"
     pca_imputation: str = "complete-rows-only"
     output_dir: str = "./aps-out"
-    worker_count: int = 1
 
 
 _CONFIG_KEYS = tuple(f.name for f in dataclass_fields(RunConfig))
@@ -80,21 +79,21 @@ def _write_atomic(path: Path, text: str) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("common options")
-    g.add_argument("--input", "-i", default=argparse.SUPPRESS,
+    g.add_argument("--input", "-i", dest="input_path", metavar="INPUT",
+                   default=argparse.SUPPRESS,
                    help="input CSV (wide or long format)")
-    g.add_argument("--format", default=argparse.SUPPRESS,
-                   choices=_INPUT_FORMATS, help="input shape (default auto)")
+    g.add_argument("--format", dest="input_format", default=argparse.SUPPRESS,
+                   choices=_INPUT_FORMATS,
+                   help=f"input shape (default {RunConfig.input_format})")
     g.add_argument("--output-dir", "-o", default=argparse.SUPPRESS,
-                   help="where output files go (default ./aps-out, or "
-                        "$APS_OUTPUT_DIR)")
+                   help=f"where output files go (default "
+                        f"{RunConfig.output_dir}, or $APS_OUTPUT_DIR)")
     g.add_argument("--difficulty-orientation", default=argparse.SUPPRESS,
                    choices=DIFFICULTY_ORIENTATIONS)
     g.add_argument("--diversity-variant", default=argparse.SUPPRESS,
                    choices=DIVERSITY_VARIANTS)
     g.add_argument("--pca-imputation", default=argparse.SUPPRESS,
                    choices=IMPUTATION_MODES)
-    g.add_argument("--workers", default=argparse.SUPPRESS,
-                   help="worker count for the selection search, or 'auto'")
     g.add_argument("--config", default=argparse.SUPPRESS,
                    help="file of key = value lines mirroring these options")
 
@@ -164,29 +163,14 @@ def _check_choice(value: str, allowed: Sequence[str], what: str) -> str:
 
 def _resolve_config(ns: argparse.Namespace) -> RunConfig:
     """Defaults <- environment <- config file <- command-line flags."""
-    merged: dict[str, object] = {
-        "input_path": None,
-        "input_format": "auto",
-        "difficulty_orientation": "one-minus-mean",
-        "diversity_variant": "nth-root",
-        "pca_imputation": "complete-rows-only",
-        "output_dir": "./aps-out",
-        "worker_count": "auto",
-    }
+    merged = {f.name: f.default for f in dataclass_fields(RunConfig)}
     env_dir = os.environ.get("APS_OUTPUT_DIR")
     if env_dir:
         merged["output_dir"] = env_dir
     given = vars(ns)
     if "config" in given:
         merged.update(_parse_config_file(given["config"]))
-    for flag, key in (("input", "input_path"), ("format", "input_format"),
-                      ("output_dir", "output_dir"),
-                      ("difficulty_orientation", "difficulty_orientation"),
-                      ("diversity_variant", "diversity_variant"),
-                      ("pca_imputation", "pca_imputation"),
-                      ("workers", "worker_count")):
-        if flag in given:
-            merged[key] = given[flag]
+    merged.update((key, given[key]) for key in _CONFIG_KEYS if key in given)
     _check_choice(merged["input_format"], _INPUT_FORMATS, "input format")
     _check_choice(merged["difficulty_orientation"], DIFFICULTY_ORIENTATIONS,
                   "difficulty orientation")
@@ -194,27 +178,7 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
                   "diversity variant")
     _check_choice(merged["pca_imputation"], IMPUTATION_MODES,
                   "imputation mode")
-    workers = merged["worker_count"]
-    if workers == "auto":
-        workers = 1
-    else:
-        try:
-            workers = int(workers)
-        except (TypeError, ValueError):
-            raise _UserError(
-                f"worker count must be a positive integer or 'auto', "
-                f"got {workers!r}") from None
-        if workers < 1:
-            raise _UserError(f"worker count must be >= 1, got {workers}")
-    return RunConfig(
-        input_path=merged["input_path"],
-        input_format=merged["input_format"],
-        difficulty_orientation=merged["difficulty_orientation"],
-        diversity_variant=merged["diversity_variant"],
-        pca_imputation=merged["pca_imputation"],
-        output_dir=str(merged["output_dir"]),
-        worker_count=workers,
-    )
+    return RunConfig(**merged)
 
 
 def _print_config(cfg: RunConfig) -> None:
@@ -233,7 +197,7 @@ def _load_matrix(cfg: RunConfig) -> PerformanceMatrix:
     fmt = cfg.input_format
     if fmt == "auto":
         first = text.lstrip("﻿").split("\n", 1)[0].rstrip("\r")
-        fmt = "long" if first.startswith("dataset,algorithm,score") else "wide"
+        fmt = "long" if first == "dataset,algorithm,score" else "wide"
     if fmt == "long":
         return ingest.parse_long(text)
     return ingest.parse_wide(text)
@@ -304,8 +268,7 @@ def _cmd_select(matrix: PerformanceMatrix, cfg: RunConfig,
         else:
             result = exhaustive_search(matrix, size, mode=ns.mode,
                                        top_k=ns.top,
-                                       variant=cfg.diversity_variant,
-                                       workers=cfg.worker_count)
+                                       variant=cfg.diversity_variant)
         for sel in result.top:
             rows.append([str(sel.rank), str(size), ";".join(sel.datasets),
                          _fmt4(sel.score)])
@@ -351,6 +314,13 @@ def _cmd_plot(matrix: PerformanceMatrix, cfg: RunConfig,
         grid = mini_aps_grid(matrix, ordered=ns.ordered)
         for warning in grid.warnings:
             print(f"warning: {warning}", file=sys.stderr)
+        seen: dict[str, str] = {}
+        for label, _ in grid.plots:
+            name = _safe_name(label)
+            if name in seen:
+                raise _DataError(f"plot labels {seen[name]!r} and {label!r} "
+                                 f"both map to mini_{name}.svg")
+            seen[name] = label
         for label, svg in grid.plots:
             path = out / f"mini_{_safe_name(label)}.svg"
             _write_atomic(path, svg)
@@ -406,8 +376,7 @@ def _cmd_report(matrix: PerformanceMatrix, cfg: RunConfig,
         lines += ["| size | datasets | score |", "| --- | --- | --- |"]
         for size in sizes:
             result = exhaustive_search(matrix, size, mode="max", top_k=1,
-                                       variant=cfg.diversity_variant,
-                                       workers=cfg.worker_count)
+                                       variant=cfg.diversity_variant)
             best = result.best
             lines.append(f"| {size} | {'; '.join(best.datasets)} | "
                          f"{_fmt4(best.score)} |")

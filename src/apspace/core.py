@@ -176,31 +176,3 @@ def complete_rows(matrix: PerformanceMatrix) -> PerformanceMatrix:
         tuple(matrix.cells[i] for i in keep),
         matrix.meta,
     )
-
-
-def normalize_per_axis(matrix: PerformanceMatrix) -> PerformanceMatrix:
-    """Divide each algorithm column by its max present score.
-
-    After this the best dataset on every axis sits at 1.0, which puts all
-    axes on a comparable footing for plots.  Gaps stay gaps.  Raises
-    :class:`ZeroColumnError` for a column with no positive present value
-    (all-missing or all-zero), since it cannot be scaled.
-    """
-    maxima: list[float] = []
-    for j, name in enumerate(matrix.algorithms):
-        present = [r[j] for r in matrix.cells if r[j] is not None]
-        top = max(present) if present else 0.0
-        if top <= 0.0:
-            raise ZeroColumnError(
-                f"algorithm column {name!r} has no positive present score")
-        maxima.append(top)
-    cells = tuple(
-        tuple(None if v is None else v / maxima[j] for j, v in enumerate(row))
-        for row in matrix.cells
-    )
-    return PerformanceMatrix(matrix.algorithms, matrix.datasets, cells, matrix.meta)
-
-
-def row_vector(matrix: PerformanceMatrix, dataset: str) -> list[Score]:
-    """One dataset's coordinates in the performance space (algorithm order)."""
-    return list(matrix.row(dataset))

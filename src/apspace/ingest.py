@@ -19,7 +19,6 @@ from .core import (ApsError, EmptyRowError, PerformanceMatrix, Score,
                    ScoreMeta, build_matrix)
 
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
-FIXTURE_ALGORITHMS = ("BPR", "ItemKNN", "MultiVAE", "NeuMF", "SGL")
 
 
 class MalformedHeaderError(ApsError):
@@ -190,18 +189,8 @@ def fixture_path(name: str = "thesis_results.csv") -> Path:
 
 def load_thesis_matrix() -> PerformanceMatrix:
     """The bundled 71-dataset x 5-algorithm nDCG@10 matrix."""
-    text = fixture_path("thesis_results.csv").read_text(encoding="utf-8")
-    rdr = csv.reader(io.StringIO(text))
-    header = next(rdr)
-    assert tuple(header[1:6]) == FIXTURE_ALGORITHMS, header
-    records = []
-    for row in rdr:
-        if not row:
-            continue
-        for algorithm, cell in zip(FIXTURE_ALGORITHMS, row[1:6]):
-            records.append((row[0], algorithm,
-                            None if cell == "NaN" else float(cell)))
-    return build_matrix(records)
+    text = fixture_path("thesis_scores.csv").read_text(encoding="utf-8")
+    return parse_wide(text)
 
 
 def load_thesis_metric_columns() -> dict[str, tuple[float, float | None]]:
@@ -233,6 +222,6 @@ def load_thesis_metadata() -> list[tuple[str, int, int, int]]:
 __all__ = [
     "MalformedHeaderError", "MalformedRowError", "RaggedRowError",
     "ValidationReport", "parse_long", "parse_wide", "write_long",
-    "write_wide", "validate", "fixture_path", "FIXTURE_ALGORITHMS",
+    "write_wide", "validate", "fixture_path",
     "load_thesis_matrix", "load_thesis_metric_columns", "load_thesis_metadata",
 ]

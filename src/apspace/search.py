@@ -4,23 +4,20 @@ Candidates are always drawn from the complete rows only — a dataset with
 a gap has no position in the full space — and are enumerated over the
 *sorted* dataset names so results cannot depend on input row order.
 Ties are broken toward the lexicographically smallest name tuple, which
-makes every search fully deterministic, including under multiple
-workers: chunks are reduced locally and merged by a global sort on
-(key, names), an order no chunking can change.
+makes every search fully deterministic: candidates are ranked by the key
+(sign * score, names), a total order.
 """
 
 import heapq
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Sequence
 
 from .core import ApsError, PerformanceMatrix
 from .metrics import DimensionMismatchError, DiversityBreakdown, _evaluate, diversity
 
 SEARCH_MODES = ("max", "min")
-_CHUNK = 4096
 
 
 class SizeTooLargeError(ApsError):
@@ -107,50 +104,34 @@ def _check_size(size: int, n_eligible: int) -> None:
             f"subset size {size} exceeds the {n_eligible} complete rows")
 
 
-def _score_chunk(chunk, points, n_axes, variant, sign, top_k):
-    """Score one block of name tuples, keep its local best ``top_k``."""
-    scored = []
-    for names in chunk:
-        vecs = [points[d] for d in names]
-        score = _evaluate(vecs, n_axes, variant)[5]
-        scored.append(((sign * score, names), score))
-    return heapq.nsmallest(top_k, scored, key=lambda item: item[0])
+def _keyed(names, points, n_axes, variant, sign):
+    """Rank key ``(sign * score, names)`` of one name tuple, and its score."""
+    score = _evaluate([points[d] for d in names], n_axes, variant)[5]
+    return (sign * score, names), score
 
 
 def exhaustive_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
-                      top_k: int = 1, variant: str = "nth-root",
-                      workers: int = 1) -> SearchResult:
+                      top_k: int = 1,
+                      variant: str = "nth-root") -> SearchResult:
     """Score every size-subset of the complete rows; return the top k.
 
     ``mode="max"`` ranks high scores first, ``"min"`` low scores first;
     either way ties fall to the lexicographically smaller name tuple.
-    ``workers`` only parallelizes the scan — the result is byte-for-byte
-    identical for any worker count.
     """
     if mode not in SEARCH_MODES:
         raise ValueError(f"unknown search mode {mode!r}")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     names, points = _eligible_points(matrix)
     _check_size(size, len(names))
     n_axes = matrix.n_algorithms
     sign = -1.0 if mode == "max" else 1.0
-    combos = combinations(names, size)  # lexicographic over sorted names
-    chunks = iter(lambda: tuple(islice(combos, _CHUNK)), ())
-    if workers == 1:
-        locals_ = [_score_chunk(c, points, n_axes, variant, sign, top_k)
-                   for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_score_chunk, c, points, n_axes, variant,
-                                   sign, top_k) for c in chunks]
-            locals_ = [f.result() for f in futures]
-    merged = sorted((item for local in locals_ for item in local),
-                    key=lambda item: item[0])[:top_k]
+    best = heapq.nsmallest(
+        top_k, (_keyed(c, points, n_axes, variant, sign)
+                for c in combinations(names, size)),
+        key=lambda item: item[0])
     top = tuple(Selection(datasets=names_, score=score, rank=i + 1)
-                for i, ((_, names_), score) in enumerate(merged))
+                for i, ((_, names_), score) in enumerate(best))
     return SearchResult(mode=mode, size=size, variant=variant,
                         candidates_evaluated=math.comb(len(names), size),
                         top=top)
@@ -172,16 +153,10 @@ def greedy_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
     _check_size(size, len(names))
     n_axes = matrix.n_algorithms
     sign = -1.0 if mode == "max" else 1.0
-
-    def keyed(subset: tuple[str, ...]):
-        vecs = [points[d] for d in subset]
-        score = _evaluate(vecs, n_axes, variant)[5]
-        return (sign * score, subset), score
-
     evaluated = 0
     best_key, best_subset, best_score = None, None, None
     for pair in combinations(names, 2):
-        key, score = keyed(pair)
+        key, score = _keyed(pair, points, n_axes, variant, sign)
         evaluated += 1
         if best_key is None or key < best_key:
             best_key, best_subset, best_score = key, pair, score
@@ -194,7 +169,7 @@ def greedy_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
             if cand in have:
                 continue
             subset = tuple(sorted(current + [cand]))
-            key, score = keyed(subset)
+            key, score = _keyed(subset, points, n_axes, variant, sign)
             evaluated += 1
             if best_key is None or key < best_key:
                 best_key, best_subset, best_score = key, subset, score

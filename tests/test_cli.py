@@ -3,12 +3,13 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import apspace
-from apspace.cli import run
+from apspace.cli import RunConfig, run
 from apspace.ingest import fixture_path, write_long, load_thesis_matrix
 
 FIXTURE = str(fixture_path("thesis_scores.csv"))
@@ -30,8 +31,12 @@ def test_validate_prints_summary(capsys):
     assert "datasets: 71" in captured.out
     assert "complete rows: 39" in captured.out
     assert captured.out.count("warning:") == 40
-    # resolved configuration goes to stderr
-    assert "config: worker_count = 1" in captured.err
+    # resolved configuration goes to stderr, one line per RunConfig field
+    keys = [line.split(" = ")[0].removeprefix("config: ")
+            for line in captured.err.splitlines()
+            if line.startswith("config: ")]
+    assert keys == [f.name for f in fields(RunConfig)]
+    assert "worker_count" not in captured.err
     assert "config: diversity_variant = nth-root" in captured.err
 
 
@@ -71,13 +76,17 @@ def test_select_greedy_strategy(outdir):
     assert "Jester" in lines[1]
 
 
-def test_select_worker_determinism(tmp_path):
-    """Identical bytes out of 1 worker and 4 workers."""
-    a, b = tmp_path / "w1", tmp_path / "w4"
-    assert run(["select", "--size", "2..3", "--top", "3", "--workers", "1",
+def test_select_row_order_determinism(tmp_path):
+    """Identical bytes from the fixture rows as given and reversed."""
+    header, *rows = read(Path(FIXTURE)).splitlines()
+    reversed_csv = tmp_path / "reversed.csv"
+    reversed_csv.write_text("\n".join([header, *rows[::-1]]) + "\n",
+                            encoding="utf-8")
+    a, b = tmp_path / "given", tmp_path / "reversed"
+    assert run(["select", "--size", "2..4", "--top", "3",
                 "-i", FIXTURE, "-o", str(a)]) == 0
-    assert run(["select", "--size", "2..3", "--top", "3", "--workers", "4",
-                "-i", FIXTURE, "-o", str(b)]) == 0
+    assert run(["select", "--size", "2..4", "--top", "3",
+                "-i", str(reversed_csv), "-o", str(b)]) == 0
     assert read(a / "selections.csv") == read(b / "selections.csv")
 
 
@@ -105,6 +114,18 @@ def test_plot_mini_writes_all_panels(outdir, capsys):
     assert read(outdir / "mini_BPR_vs_ItemKNN.svg").startswith("<svg")
 
 
+def test_plot_mini_file_name_collision_fails(tmp_path, capsys):
+    """Labels 'x y' and 'x_y' share a file name: exit 2, write nothing."""
+    src = tmp_path / "clash.csv"
+    src.write_text("dataset,x y,x_y,z\nd1,0.1,0.2,0.3\nd2,0.4,0.5,0.6\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["plot", "mini", "-i", str(src), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'x y_vs_z'" in err and "'x_y_vs_z'" in err
+    assert not out.exists()
+
+
 def test_plot_pca_with_coloring(outdir):
     assert run(["plot", "pca", "--color-by", "difficulty",
                 "--pca-imputation", "mean-fill",
@@ -124,13 +145,18 @@ def test_report_sections(outdir):
     assert "Explained variance ratios" in text
 
 
-def test_exit_code_user_errors(capsys):
+def test_exit_code_user_errors(tmp_path, capsys):
     assert run(["--no-such-flag"]) == 1
     assert run(["frobnicate"]) == 1
     assert run(["metrics"]) == 1  # no input given
     assert run(["select", "-i", FIXTURE, "--size", "nope"]) == 1
     assert run(["select", "-i", FIXTURE, "--size", "1..3"]) == 1
-    assert run(["metrics", "-i", FIXTURE, "--workers", "zero"]) == 1
+    # a config key of a removed option fails loudly, not silently
+    old_cfg = tmp_path / "old.cfg"
+    old_cfg.write_text("worker_count = 2\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["metrics", "-i", FIXTURE, "--config", str(old_cfg)]) == 1
+    assert "unknown key 'worker_count'" in capsys.readouterr().err
 
 
 def test_exit_code_data_errors(tmp_path, capsys):
@@ -151,6 +177,16 @@ def test_auto_format_detects_long(tmp_path):
     out = tmp_path / "out"
     assert run(["metrics", "-i", str(src), "-o", str(out)]) == 0
     assert "Jester,0.5163,0.0193,5" in read(out / "metrics.csv")
+
+
+def test_auto_format_needs_exact_long_header(tmp_path, capsys):
+    """A wide header that merely starts like the long one stays wide."""
+    wide = tmp_path / "wide.csv"
+    wide.write_text("dataset,algorithm,score_b\nd1,0.1,0.2\nd2,0.3,0.4\n",
+                    encoding="utf-8")
+    assert run(["validate", "-i", str(wide)]) == 0
+    out = capsys.readouterr().out
+    assert "datasets: 2\nalgorithms: 2\npresent cells: 4\n" in out
 
 
 def test_forced_format_mismatch_fails(tmp_path):

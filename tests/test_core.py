@@ -1,13 +1,10 @@
-import math
-
 import pytest
 
 from conftest import make_matrix
 from apspace.core import (DuplicateCellError, EmptyRowError, InvalidLabelError,
                           ScoreMeta, ScoreOutOfRangeError,
                           UnknownAlgorithmError, UnknownDatasetError,
-                          ZeroColumnError, build_matrix, complete_rows,
-                          normalize_per_axis, row_vector)
+                          build_matrix, complete_rows)
 
 
 def test_build_matrix_first_seen_order():
@@ -92,45 +89,3 @@ def test_complete_rows_fixture_count(fixture_matrix):
     # order preserved: the kept names appear in original relative order
     kept = iter(fixture_matrix.datasets)
     assert all(any(k == d for k in kept) for d in sub.datasets)
-
-
-def test_normalize_per_axis_scales_by_column_max():
-    m = make_matrix({"a": [0.25, 0.2], "b": [0.5, None]})
-    out = normalize_per_axis(m)
-    assert out.row("a") == (0.5, 1.0)
-    assert out.row("b") == (1.0, None)
-
-
-def test_normalize_per_axis_zero_column():
-    m = make_matrix({"a": [0.5, 0.0], "b": [0.6, 0.0]})
-    with pytest.raises(ZeroColumnError):
-        normalize_per_axis(m)
-
-
-def test_normalize_per_axis_all_missing_column():
-    m = build_matrix([("a", "x", 0.5), ("a", "y", None),
-                      ("b", "x", 0.6), ("b", "y", None)])
-    with pytest.raises(ZeroColumnError):
-        normalize_per_axis(m)
-
-
-def test_normalize_per_axis_idempotent(fixture_matrix):
-    once = normalize_per_axis(fixture_matrix)
-    assert normalize_per_axis(once) == once
-    for algo in once.algorithms:
-        present = [v for v in once.column(algo) if v is not None]
-        assert math.isclose(max(present), 1.0, abs_tol=1e-12)
-
-
-def test_normalize_fixture_best_dataset_hits_one(fixture_matrix):
-    # one dataset happens to top every single axis of the bundled matrix
-    out = normalize_per_axis(fixture_matrix)
-    assert out.row("Jester") == (1.0, 1.0, 1.0, 1.0, 1.0)
-
-
-def test_row_vector_is_a_copy():
-    m = make_matrix({"d": [0.5, None]})
-    vec = row_vector(m, "d")
-    assert vec == [0.5, None]
-    vec[0] = 0.9
-    assert m.row("d") == (0.5, None)

@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 from conftest import make_matrix, random_matrix
@@ -145,6 +147,17 @@ def test_fixture_metric_columns(published_metrics):
     # rows with a lone result have no printed variance
     assert published_metrics["Netflix"][1] is None
     assert len(published_metrics) == 71
+
+
+def test_fixture_results_scores_match_scores_file(fixture_matrix):
+    """The goldens file repeats the scores file's cells, gap for gap."""
+    text = fixture_path("thesis_results.csv").read_text(encoding="utf-8")
+    header, *rows = csv.reader(text.splitlines())
+    assert header[1:6] == list(fixture_matrix.algorithms)
+    assert [row[0] for row in rows] == list(fixture_matrix.datasets)
+    for row in rows:
+        cells = tuple(None if c == "NaN" else float(c) for c in row[1:6])
+        assert cells == fixture_matrix.row(row[0]), row[0]
 
 
 def test_fixture_metadata():

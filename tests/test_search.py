@@ -102,12 +102,6 @@ def test_exhaustive_input_order_independent(rng):
     assert res == res2
 
 
-def test_exhaustive_worker_count_invariance(fixture_matrix):
-    one = exhaustive_search(fixture_matrix, 3, "max", top_k=5, workers=1)
-    four = exhaustive_search(fixture_matrix, 3, "max", top_k=5, workers=4)
-    assert one == four
-
-
 def test_exhaustive_identical_points_tie_break():
     m = make_matrix({n: [0.5, 0.5] for n in ("d", "c", "b", "a")})
     for mode in ("max", "min"):
@@ -138,8 +132,6 @@ def test_exhaustive_errors():
         exhaustive_search(m, 2, mode="median")
     with pytest.raises(ValueError):
         exhaustive_search(m, 2, top_k=0)
-    with pytest.raises(ValueError):
-        exhaustive_search(m, 2, workers=0)
     all_gappy = build_matrix([("d1", "a", 0.5), ("d1", "b", None),
                               ("d2", "a", None), ("d2", "b", 0.5)])
     with pytest.raises(NoCompleteRowsError):
