@@ -11,13 +11,21 @@ makes every search fully deterministic: candidates are ranked by the key
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Sequence
+
+import numpy as np
 
 from .core import ApsError, PerformanceMatrix
 from .metrics import DimensionMismatchError, DiversityBreakdown, _evaluate, diversity
 
 SEARCH_MODES = ("max", "min")
+
+# Candidates scored per numpy batch: bounds the search's working memory.
+_BATCH = 1024
+# Far above the ~1e-15 gap between batched and scalar scores: a candidate
+# whose batched key is within this of the cut-off is re-scored exactly.
+_TIE_TOL = 1e-9
 
 
 class SizeTooLargeError(ApsError):
@@ -110,6 +118,67 @@ def _keyed(names, points, n_axes, variant, sign):
     return (sign * score, names), score
 
 
+def _index_batches(n, size):
+    """Every ``combinations(range(n), size)``, in order, as ``B x size``
+    arrays of at most ``_BATCH`` rows; never all of them at once."""
+    combos = combinations(range(n), size)
+    while True:
+        flat = np.fromiter(chain.from_iterable(islice(combos, _BATCH)),
+                           dtype=np.intp)
+        if not flat.size:
+            return
+        yield flat.reshape(-1, size)
+
+
+def _ranker(names, points, n_axes, variant, sign):
+    """Return ``top(batches, top_k)``: the ``top_k`` smallest ``(key,
+    score)`` of :func:`_keyed` over every row of ``batches``, ``B x k``
+    arrays of indices into the sorted ``names``.
+
+    Rows are scored with numpy, the formula of ``metrics._evaluate`` over
+    a distance matrix computed once.  numpy reduces in another order, so
+    those scores can differ from the scalar ones in the last bits.  A row
+    whose batched key lies more than ``_TIE_TOL`` above a cut-off (the
+    ``top_k``-th batched key of its batch, or the worst exact key kept so
+    far) is beaten outright by ``top_k`` others; every other row is
+    re-scored by :func:`_keyed` and merged in ``(sign * score, names)``
+    order, so scores, ties and near-ties come out exactly as the scalar
+    search gives them.
+    """
+    P = np.array([points[d] for d in names])
+    D = np.zeros((len(names), len(names)))
+    for col in P.T:  # one n x n temporary per axis, not n x n x axes
+        D += (col[:, None] - col[None, :]) ** 2
+    np.sqrt(D, out=D)
+
+    def batch_keys(idx):
+        i, j = np.triu_indices(idx.shape[1], 1)
+        var_d = D[idx[:, i], idx[:, j]].var(axis=1)
+        rows = P[idx]
+        vol = (rows.max(axis=1) - rows.min(axis=1)).prod(axis=1)
+        coverage = (np.sqrt(vol) if variant == "literal-sqrt"
+                    else vol ** (1.0 / n_axes))
+        return sign * (1.0 - var_d / (n_axes / 4.0)) * coverage
+
+    def top(batches, top_k):
+        best = []
+        for idx in batches:
+            keys = batch_keys(idx)
+            cut = (np.partition(keys, top_k - 1)[top_k - 1]
+                   if len(keys) > top_k else math.inf)
+            if len(best) == top_k:
+                cut = min(cut, best[-1][0][0])
+            near = idx[keys <= cut + _TIE_TOL].tolist()
+            best = heapq.nsmallest(
+                top_k, best + [_keyed(tuple(names[i] for i in row), points,
+                                      n_axes, variant, sign)
+                               for row in near],
+                key=lambda item: item[0])
+        return best
+
+    return top
+
+
 def exhaustive_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
                       top_k: int = 1,
                       variant: str = "nth-root") -> SearchResult:
@@ -124,12 +193,9 @@ def exhaustive_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     names, points = _eligible_points(matrix)
     _check_size(size, len(names))
-    n_axes = matrix.n_algorithms
     sign = -1.0 if mode == "max" else 1.0
-    best = heapq.nsmallest(
-        top_k, (_keyed(c, points, n_axes, variant, sign)
-                for c in combinations(names, size)),
-        key=lambda item: item[0])
+    top_of = _ranker(names, points, matrix.n_algorithms, variant, sign)
+    best = top_of(_index_batches(len(names), size), top_k)
     top = tuple(Selection(datasets=names_, score=score, rank=i + 1)
                 for i, ((_, names_), score) in enumerate(best))
     return SearchResult(mode=mode, size=size, variant=variant,
@@ -151,31 +217,17 @@ def greedy_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
         raise ValueError(f"unknown search mode {mode!r}")
     names, points = _eligible_points(matrix)
     _check_size(size, len(names))
-    n_axes = matrix.n_algorithms
-    sign = -1.0 if mode == "max" else 1.0
-    evaluated = 0
-    best_key, best_subset, best_score = None, None, None
-    for pair in combinations(names, 2):
-        key, score = _keyed(pair, points, n_axes, variant, sign)
-        evaluated += 1
-        if best_key is None or key < best_key:
-            best_key, best_subset, best_score = key, pair, score
-    current = list(best_subset)
-    current_score = best_score
-    while len(current) < size:
-        best_key = best_subset = best_score = None
-        have = set(current)
-        for cand in names:
-            if cand in have:
-                continue
-            subset = tuple(sorted(current + [cand]))
-            key, score = _keyed(subset, points, n_axes, variant, sign)
-            evaluated += 1
-            if best_key is None or key < best_key:
-                best_key, best_subset, best_score = key, subset, score
-        current = list(best_subset)
-        current_score = best_score
-    top = (Selection(datasets=tuple(sorted(current)), score=current_score,
-                     rank=1),)
+    n = len(names)
+    top_of = _ranker(names, points, matrix.n_algorithms, variant,
+                     -1.0 if mode == "max" else 1.0)
+    [((_, subset), score)] = top_of(_index_batches(n, 2), 1)
+    evaluated = math.comb(n, 2)
+    while len(subset) < size:
+        have = [i for i, d in enumerate(names) if d in subset]
+        rest = [i for i, d in enumerate(names) if d not in subset]
+        batch = np.sort(np.array([have + [i] for i in rest]), axis=1)
+        [((_, subset), score)] = top_of([batch], 1)
+        evaluated += len(rest)
+    top = (Selection(datasets=subset, score=score, rank=1),)
     return SearchResult(mode=mode, size=size, variant=variant,
                         candidates_evaluated=evaluated, top=top)

@@ -1,8 +1,15 @@
 import math
+import tracemalloc
+from functools import partial
+from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_matrix, random_matrix
+from apspace import search
 from apspace.core import UnknownDatasetError, build_matrix
 from apspace.metrics import DimensionMismatchError
 from apspace.search import (IncompleteDatasetError, InvalidSelectionError,
@@ -192,3 +199,112 @@ def test_greedy_errors():
         greedy_search(m, 4)
     with pytest.raises(ValueError):
         greedy_search(m, 2, mode="best")
+
+
+# ------------------------------------- batched search vs scalar reference
+
+@st.composite
+def tied_matrices(draw):
+    """Small matrices with 1-2 decimal scores and duplicated rows, so
+    exact ties occur; dataset names are not in sorted row order."""
+    n_axes = draw(st.integers(2, 4))
+    value = st.one_of(st.integers(0, 10).map(lambda v: v / 10),
+                      st.integers(0, 100).map(lambda v: v / 100))
+    rows = draw(st.lists(st.lists(value, min_size=n_axes, max_size=n_axes),
+                         min_size=2, max_size=7))
+    rows += [rows[i] for i in draw(st.lists(
+        st.integers(0, len(rows) - 1), max_size=3))]
+    names = draw(st.permutations([f"d{i:02d}" for i in range(len(rows))]))
+    return make_matrix(dict(zip(names, rows)))
+
+
+def _complete_names(matrix):
+    return sorted(d for d in matrix.datasets if matrix.is_complete(d))
+
+
+def _scalar_key(matrix, names, mode, variant):
+    score = score_selection(matrix, names, variant).score
+    return (-score if mode == "max" else score, names)
+
+
+def _scalar_exhaustive(matrix, size, mode, variant, top_k):
+    ranked = sorted(_scalar_key(matrix, c, mode, variant)
+                    for c in combinations(_complete_names(matrix), size))
+    return [(names, score_selection(matrix, names, variant).score)
+            for _, names in ranked[:top_k]]
+
+
+def _scalar_greedy(matrix, size, mode, variant):
+    names = _complete_names(matrix)
+    key = partial(_scalar_key, matrix, mode=mode, variant=variant)
+    current = min(combinations(names, 2), key=key)
+    evaluated = math.comb(len(names), 2)
+    while len(current) < size:
+        options = [tuple(sorted(current + (d,)))
+                   for d in names if d not in current]
+        evaluated += len(options)
+        current = min(options, key=key)
+    return current, score_selection(matrix, current, variant).score, evaluated
+
+
+@settings(deadline=None)
+@given(matrix=tied_matrices(), data=st.data(),
+       batch=st.sampled_from([1, 2, 5, search._BATCH]))
+def test_exhaustive_matches_scalar_reference(matrix, data, batch):
+    """Every rank, name tuple and exact score float equals the scalar
+    brute force, whatever the batch size the candidates stream in."""
+    size = data.draw(st.integers(2, min(5, len(matrix.datasets))))
+    with mock.patch.object(search, "_BATCH", batch):
+        for mode in ("max", "min"):
+            for variant in ("nth-root", "literal-sqrt"):
+                res = exhaustive_search(matrix, size, mode, top_k=3,
+                                        variant=variant)
+                want = _scalar_exhaustive(matrix, size, mode, variant, 3)
+                assert [(s.datasets, s.score) for s in res.top] == want
+                assert [s.rank for s in res.top] == list(
+                    range(1, len(want) + 1))
+                assert res.candidates_evaluated == math.comb(
+                    len(matrix.datasets), size)
+
+
+@settings(deadline=None)
+@given(matrix=tied_matrices(), data=st.data())
+def test_greedy_matches_scalar_reference(matrix, data):
+    size = data.draw(st.integers(2, len(matrix.datasets)))
+    for mode in ("max", "min"):
+        for variant in ("nth-root", "literal-sqrt"):
+            res = greedy_search(matrix, size, mode, variant=variant)
+            assert (res.best.datasets, res.best.score,
+                    res.candidates_evaluated) == _scalar_greedy(
+                        matrix, size, mode, variant)
+
+
+def test_exhaustive_ties_merge_across_batches():
+    """All 4,845 quadruples tie at 0.0 and span several batches; the
+    first name tuples win in both modes."""
+    m = make_matrix({f"d{i:02d}": [0.25, 0.75, 0.5] for i in range(20)})
+    assert math.comb(20, 4) > 2 * search._BATCH
+    for mode in ("max", "min"):
+        res = exhaustive_search(m, 4, mode, top_k=3)
+        assert res.candidates_evaluated == 4845
+        assert [(s.datasets, s.score, s.rank) for s in res.top] == [
+            (("d00", "d01", "d02", "d03"), 0.0, 1),
+            (("d00", "d01", "d02", "d04"), 0.0, 2),
+            (("d00", "d01", "d02", "d05"), 0.0, 3),
+        ]
+
+
+def test_exhaustive_memory_does_not_grow_with_candidates(rng):
+    """Candidates stream in fixed-size batches: going from k=3 to k=4 on
+    40 rows multiplies them by 9.25 but must not multiply peak memory."""
+    m = random_matrix(rng, 40, 5)
+    peaks = {}
+    for size in (3, 4):
+        tracemalloc.start()
+        try:
+            exhaustive_search(m, size, "max", top_k=3)
+            peaks[size] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4] < 2 * 2**20
+    assert peaks[4] < 2 * peaks[3]
