@@ -9,7 +9,7 @@ scatter plots.  See the ``aps`` command for the batch front end.
 
 from .core import (ApsError, DuplicateCellError, EmptyRowError,
                    InvalidLabelError, LengthMismatchError, PerformanceMatrix,
-                   ScoreMeta, ScoreOutOfRangeError, UnknownAlgorithmError,
+                   ScoreOutOfRangeError, UnknownAlgorithmError,
                    UnknownDatasetError, ZeroColumnError, build_matrix,
                    complete_rows)
 from .ingest import (ValidationReport, load_thesis_matrix, parse_long,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApsError", "DuplicateCellError", "EmptyRowError", "InvalidLabelError",
-    "LengthMismatchError", "PerformanceMatrix", "ScoreMeta",
+    "LengthMismatchError", "PerformanceMatrix",
     "ScoreOutOfRangeError", "UnknownAlgorithmError", "UnknownDatasetError",
     "ZeroColumnError", "build_matrix", "complete_rows",
     "ValidationReport", "load_thesis_matrix", "parse_long", "parse_wide",

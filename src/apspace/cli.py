@@ -29,9 +29,6 @@ from .pca import IMPUTATION_MODES, pca_project
 from .search import SEARCH_MODES, exhaustive_search, greedy_search
 from .viz import PlotSpec, mini_aps_grid, pca_scatter_svg
 
-_INPUT_FORMATS = ("auto", "long", "wide")
-
-
 class _UserError(Exception):
     """Bad flags or config; maps to exit 1."""
 
@@ -53,6 +50,17 @@ class RunConfig:
 
 
 _CONFIG_KEYS = tuple(f.name for f in dataclass_fields(RunConfig))
+
+# The allowed values of each choice option, by RunConfig field, with the
+# noun its error message uses.  argparse checks flags against them and
+# _resolve_config checks the merged values, config-file ones included.
+_CHOICES = {
+    "input_format": ("input format", ("auto", "long", "wide")),
+    "difficulty_orientation": ("difficulty orientation",
+                               DIFFICULTY_ORIENTATIONS),
+    "diversity_variant": ("diversity variant", DIVERSITY_VARIANTS),
+    "pca_imputation": ("imputation mode", IMPUTATION_MODES),
+}
 
 
 def _fmt4(x: float) -> str:
@@ -83,17 +91,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=argparse.SUPPRESS,
                    help="input CSV (wide or long format)")
     g.add_argument("--format", dest="input_format", default=argparse.SUPPRESS,
-                   choices=_INPUT_FORMATS,
+                   choices=_CHOICES["input_format"][1],
                    help=f"input shape (default {RunConfig.input_format})")
     g.add_argument("--output-dir", "-o", default=argparse.SUPPRESS,
                    help=f"where output files go (default "
                         f"{RunConfig.output_dir}, or $APS_OUTPUT_DIR)")
-    g.add_argument("--difficulty-orientation", default=argparse.SUPPRESS,
-                   choices=DIFFICULTY_ORIENTATIONS)
-    g.add_argument("--diversity-variant", default=argparse.SUPPRESS,
-                   choices=DIVERSITY_VARIANTS)
-    g.add_argument("--pca-imputation", default=argparse.SUPPRESS,
-                   choices=IMPUTATION_MODES)
+    for key in ("difficulty_orientation", "diversity_variant",
+                "pca_imputation"):
+        g.add_argument("--" + key.replace("_", "-"),
+                       default=argparse.SUPPRESS, choices=_CHOICES[key][1])
     g.add_argument("--config", default=argparse.SUPPRESS,
                    help="file of key = value lines mirroring these options")
 
@@ -154,13 +160,6 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _check_choice(value: str, allowed: Sequence[str], what: str) -> str:
-    if value not in allowed:
-        raise _UserError(
-            f"invalid {what} {value!r} (choose from {', '.join(allowed)})")
-    return value
-
-
 def _resolve_config(ns: argparse.Namespace) -> RunConfig:
     """Defaults <- environment <- config file <- command-line flags."""
     merged = {f.name: f.default for f in dataclass_fields(RunConfig)}
@@ -171,13 +170,10 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
     if "config" in given:
         merged.update(_parse_config_file(given["config"]))
     merged.update((key, given[key]) for key in _CONFIG_KEYS if key in given)
-    _check_choice(merged["input_format"], _INPUT_FORMATS, "input format")
-    _check_choice(merged["difficulty_orientation"], DIFFICULTY_ORIENTATIONS,
-                  "difficulty orientation")
-    _check_choice(merged["diversity_variant"], DIVERSITY_VARIANTS,
-                  "diversity variant")
-    _check_choice(merged["pca_imputation"], IMPUTATION_MODES,
-                  "imputation mode")
+    for key, (what, allowed) in _CHOICES.items():
+        if merged[key] not in allowed:
+            raise _UserError(f"invalid {what} {merged[key]!r} "
+                             f"(choose from {', '.join(allowed)})")
     return RunConfig(**merged)
 
 
@@ -203,7 +199,13 @@ def _load_matrix(cfg: RunConfig) -> PerformanceMatrix:
     return ingest.parse_wide(text)
 
 
-def _note(path: Path) -> None:
+def _emit(cfg: RunConfig, name: str, text: str) -> None:
+    """Write ``text`` to ``name`` in the output dir and say so on stderr."""
+    path = Path(cfg.output_dir) / name
+    try:
+        _write_atomic(path, text)
+    except OSError as exc:
+        raise _UserError(f"cannot write {path}: {exc}") from None
     print(f"wrote {path}", file=sys.stderr)
 
 
@@ -237,10 +239,8 @@ def _cmd_metrics(matrix: PerformanceMatrix, cfg: RunConfig,
     rows = [[r.dataset, _fmt4(r.difficulty),
              "" if r.variance is None else _fmt4(r.variance),
              str(r.present_count)] for r in report.rows]
-    path = Path(cfg.output_dir) / "metrics.csv"
-    _write_atomic(path, _csv_text(
+    _emit(cfg, "metrics.csv", _csv_text(
         ["dataset", "difficulty", "variance", "present_count"], rows))
-    _note(path)
     return 0
 
 
@@ -272,9 +272,8 @@ def _cmd_select(matrix: PerformanceMatrix, cfg: RunConfig,
         for sel in result.top:
             rows.append([str(sel.rank), str(size), ";".join(sel.datasets),
                          _fmt4(sel.score)])
-    path = Path(cfg.output_dir) / "selections.csv"
-    _write_atomic(path, _csv_text(["rank", "size", "datasets", "score"], rows))
-    _note(path)
+    _emit(cfg, "selections.csv",
+          _csv_text(["rank", "size", "datasets", "score"], rows))
     return 0
 
 
@@ -287,10 +286,8 @@ def _cmd_pca(matrix: PerformanceMatrix, cfg: RunConfig,
             for i, name in enumerate(projection.dataset_ids)]
     trailer = "# explained_variance_ratio," + ",".join(
         _fmt4(float(r)) for r in projection.explained_variance_ratio)
-    path = Path(cfg.output_dir) / "pca.csv"
-    _write_atomic(path, _csv_text(
+    _emit(cfg, "pca.csv", _csv_text(
         ["dataset", *(f"pc{i + 1}" for i in range(k))], rows, trailer))
-    _note(path)
     return 0
 
 
@@ -309,7 +306,6 @@ def _metric_values(matrix: PerformanceMatrix, ids: Sequence[str],
 
 def _cmd_plot(matrix: PerformanceMatrix, cfg: RunConfig,
               ns: argparse.Namespace) -> int:
-    out = Path(cfg.output_dir)
     if ns.kind == "mini":
         grid = mini_aps_grid(matrix, ordered=ns.ordered)
         for warning in grid.warnings:
@@ -322,9 +318,7 @@ def _cmd_plot(matrix: PerformanceMatrix, cfg: RunConfig,
                                  f"both map to mini_{name}.svg")
             seen[name] = label
         for label, svg in grid.plots:
-            path = out / f"mini_{_safe_name(label)}.svg"
-            _write_atomic(path, svg)
-            _note(path)
+            _emit(cfg, f"mini_{_safe_name(label)}.svg", svg)
         return 0
     projection = pca_project(matrix, k=2, imputation=cfg.pca_imputation)
     metric_values = None
@@ -334,9 +328,8 @@ def _cmd_plot(matrix: PerformanceMatrix, cfg: RunConfig,
                                        ns.color_by,
                                        cfg.difficulty_orientation)
         spec = PlotSpec(color_by=ns.color_by)
-    path = out / "pca_scatter.svg"
-    _write_atomic(path, pca_scatter_svg(projection, metric_values, spec))
-    _note(path)
+    _emit(cfg, "pca_scatter.svg",
+          pca_scatter_svg(projection, metric_values, spec))
     return 0
 
 
@@ -359,29 +352,34 @@ def _cmd_report(matrix: PerformanceMatrix, cfg: RunConfig,
         "",
         "## Per-dataset metrics",
         "",
-        f"Mean difficulty {_fmt4(table.mean_difficulty)}, "
-        f"median {_fmt4(table.median_difficulty)} "
-        f"(orientation: {table.orientation}).",
-        "",
-        "| dataset | difficulty | variance | present |",
-        "| --- | --- | --- | --- |",
     ]
+    try:
+        lines.append(f"Mean difficulty {_fmt4(table.mean_difficulty)}, "
+                     f"median {_fmt4(table.median_difficulty)} "
+                     f"(orientation: {table.orientation}).")
+    except ApsError as exc:
+        lines.append(f"Difficulty summary unavailable: {exc}.")
+    lines += ["", "| dataset | difficulty | variance | present |",
+              "| --- | --- | --- | --- |"]
     for r in table.rows:
         var = "" if r.variance is None else _fmt4(r.variance)
         lines.append(f"| {r.dataset} | {_fmt4(r.difficulty)} | {var} | "
                      f"{r.present_count} |")
     lines += ["", "## Most diverse selections", ""]
     sizes = [s for s in (2, 3, 4) if s <= rep.complete_row_count]
-    if sizes:
-        lines += ["| size | datasets | score |", "| --- | --- | --- |"]
-        for size in sizes:
-            result = exhaustive_search(matrix, size, mode="max", top_k=1,
-                                       variant=cfg.diversity_variant)
-            best = result.best
-            lines.append(f"| {size} | {'; '.join(best.datasets)} | "
-                         f"{_fmt4(best.score)} |")
-    else:
+    if not sizes:
         lines.append("Too few complete rows for subset search.")
+    else:
+        try:
+            best = [exhaustive_search(matrix, size, mode="max", top_k=1,
+                                      variant=cfg.diversity_variant).best
+                    for size in sizes]
+        except ApsError as exc:
+            lines.append(f"Selections unavailable: {exc}.")
+        else:
+            lines += ["| size | datasets | score |", "| --- | --- | --- |"]
+            lines += [f"| {size} | {'; '.join(b.datasets)} | "
+                      f"{_fmt4(b.score)} |" for size, b in zip(sizes, best)]
     lines += ["", "## Projection", ""]
     try:
         k = min(2, matrix.n_algorithms)
@@ -393,9 +391,7 @@ def _cmd_report(matrix: PerformanceMatrix, cfg: RunConfig,
     except ApsError as exc:
         lines.append(f"Projection unavailable: {exc}.")
     lines.append("")
-    path = Path(cfg.output_dir) / "report.md"
-    _write_atomic(path, "\n".join(lines))
-    _note(path)
+    _emit(cfg, "report.md", "\n".join(lines))
     return 0
 
 

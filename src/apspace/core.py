@@ -6,7 +6,7 @@ explicit instead of being imputed or clamped so downstream consumers can
 decide how to treat them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -50,18 +50,6 @@ class LengthMismatchError(ApsError):
 
 
 @dataclass(frozen=True)
-class ScoreMeta:
-    """What the cell values mean, e.g. nDCG@10."""
-
-    metric_name: str = "nDCG"
-    k: int = 10
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"cutoff k must be >= 1, got {self.k}")
-
-
-@dataclass(frozen=True)
 class PerformanceMatrix:
     """Immutable datasets-by-algorithms score grid.
 
@@ -74,7 +62,6 @@ class PerformanceMatrix:
     algorithms: tuple[str, ...]
     datasets: tuple[str, ...]
     cells: tuple[tuple[Score, ...], ...]
-    meta: ScoreMeta = field(default_factory=ScoreMeta)
 
     @property
     def n_algorithms(self) -> int:
@@ -124,8 +111,7 @@ def _check_label(label: str, kind: str) -> str:
     return label
 
 
-def build_matrix(records: Iterable[tuple[str, str, Score]],
-                 meta: ScoreMeta | None = None) -> PerformanceMatrix:
+def build_matrix(records: Iterable[tuple[str, str, Score]]) -> PerformanceMatrix:
     """Assemble a matrix from (dataset, algorithm, score) triples.
 
     Row/column order is first-seen.  A ``None`` score registers the pair
@@ -160,8 +146,7 @@ def build_matrix(records: Iterable[tuple[str, str, Score]],
         if all(v is None for v in row):
             raise EmptyRowError(f"dataset {d!r} has no present scores")
         cells.append(row)
-    return PerformanceMatrix(tuple(algorithms), tuple(datasets), tuple(cells),
-                             meta if meta is not None else ScoreMeta())
+    return PerformanceMatrix(tuple(algorithms), tuple(datasets), tuple(cells))
 
 
 def complete_rows(matrix: PerformanceMatrix) -> PerformanceMatrix:
@@ -174,5 +159,4 @@ def complete_rows(matrix: PerformanceMatrix) -> PerformanceMatrix:
         matrix.algorithms,
         tuple(matrix.datasets[i] for i in keep),
         tuple(matrix.cells[i] for i in keep),
-        matrix.meta,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import (ApsError, EmptyRowError, PerformanceMatrix, Score,
-                   ScoreMeta, build_matrix)
+                   build_matrix)
 
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -63,7 +63,7 @@ def _reader(text: str) -> csv.reader:
     return csv.reader(io.StringIO(text, newline=""))
 
 
-def parse_long(text: str, meta: ScoreMeta | None = None) -> PerformanceMatrix:
+def parse_long(text: str) -> PerformanceMatrix:
     """Parse ``dataset,algorithm,score`` rows into a matrix.
 
     Blank lines are skipped.  Header must match exactly; every data row
@@ -85,10 +85,10 @@ def parse_long(text: str, meta: ScoreMeta | None = None) -> PerformanceMatrix:
         if not dataset or not algorithm:
             raise MalformedRowError(f"line {rdr.line_num}: empty name field")
         records.append((dataset, algorithm, _parse_score(row[2], rdr.line_num)))
-    return build_matrix(records, meta)
+    return build_matrix(records)
 
 
-def parse_wide(text: str, meta: ScoreMeta | None = None) -> PerformanceMatrix:
+def parse_wide(text: str) -> PerformanceMatrix:
     """Parse one-row-per-dataset CSV into a matrix.
 
     The header's first cell must be ``dataset``; the remaining cells name
@@ -119,9 +119,8 @@ def parse_wide(text: str, meta: ScoreMeta | None = None) -> PerformanceMatrix:
                             _parse_score(cell, rdr.line_num)))
     if not records:
         # header-only input: keep the column set so parse(write(m)) == m
-        return PerformanceMatrix(tuple(algorithms), (), (),
-                                 meta if meta is not None else ScoreMeta())
-    return build_matrix(records, meta)
+        return PerformanceMatrix(tuple(algorithms), (), ())
+    return build_matrix(records)
 
 
 def _format_score(value: Score) -> str:

@@ -174,13 +174,18 @@ class MetricReport:
                 return r
         raise KeyError(dataset)
 
+    def _difficulties(self) -> list[float]:
+        if not self.rows:
+            raise NoDataError("no datasets to summarize")
+        return [r.difficulty for r in self.rows]
+
     @property
     def mean_difficulty(self) -> float:
-        return sum(r.difficulty for r in self.rows) / len(self.rows)
+        return sum(self._difficulties()) / len(self.rows)
 
     @property
     def median_difficulty(self) -> float:
-        vals = sorted(r.difficulty for r in self.rows)
+        vals = sorted(self._difficulties())
         m = len(vals) // 2
         return vals[m] if len(vals) % 2 else (vals[m - 1] + vals[m]) / 2.0
 

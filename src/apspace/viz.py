@@ -14,11 +14,14 @@ dataset name, which browsers show as a hover tooltip.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations, permutations
+from typing import Sequence
 from xml.sax.saxutils import escape
 
 from .core import (ApsError, LengthMismatchError, PerformanceMatrix,
-                   UnknownAlgorithmError, ZeroColumnError)
+                   ZeroColumnError)
+from .metrics import DimensionMismatchError
 from .pca import BadComponentCountError, PcaProjection
 
 _HEX_COLOR = re.compile(r"^#[0-9a-fA-F]{6}$")
@@ -105,24 +108,6 @@ def _lerp_color(low: str, high: str, t: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*channels)
 
 
-def _highlight_group_index(name: str, spec: PlotSpec) -> int | None:
-    """Index of the first group whose prefix matches, else None."""
-    for i, group in enumerate(spec.highlight_groups):
-        if name.startswith(group.prefix):
-            return i
-    return None
-
-
-def _layer_circles(entries: list[tuple[str, str]], spec: PlotSpec) -> list[str]:
-    """Order circles so highlighted groups land on top, group by group."""
-    plain = []
-    by_group: list[list[str]] = [[] for _ in spec.highlight_groups]
-    for name, circle in entries:
-        gi = _highlight_group_index(name, spec)
-        (plain if gi is None else by_group[gi]).append(circle)
-    return plain + [c for group in by_group for c in group]
-
-
 class _Frame:
     """Maps unit/data coordinates onto the pixel plot area."""
 
@@ -196,6 +181,31 @@ def _circle(cx: float, cy: float, r: float, fill: str, title: str) -> str:
             f'fill="{fill}"><title>{escape(title)}</title></circle>')
 
 
+def _circles(frame: _Frame, spec: PlotSpec,
+             points: Sequence[tuple[str, float, float]],
+             fills: Sequence[str] | None = None) -> list[str]:
+    """One circle per ``(name, x_frac, y_frac)`` point.
+
+    With ``fills``, point ``i`` takes ``fills[i]`` and input order is
+    kept.  Otherwise a point takes the color of the first highlight
+    group whose prefix matches its name, else ``point_color``; plain
+    points are drawn first, then each group in turn, so highlights stay
+    on top.
+    """
+    groups = spec.highlight_groups
+    colors = (spec.point_color, *(g.color for g in groups))
+    layers: list[list[str]] = [[] for _ in colors]
+    for i, (name, fx, fy) in enumerate(points):
+        layer = 0
+        if fills is None and groups:  # no per-point scan for plain plots
+            layer = next((n for n, g in enumerate(groups, 1)
+                          if name.startswith(g.prefix)), 0)
+        layers[layer].append(_circle(
+            frame.x(fx), frame.y(fy), spec.point_radius_px,
+            colors[layer] if fills is None else fills[i], name))
+    return [c for layer in layers for c in layer]
+
+
 def mini_aps_svg(matrix: PerformanceMatrix, algo_x: str, algo_y: str,
                  spec: PlotSpec | None = None) -> str:
     """One 2-D slice of the space: ``algo_x`` scores against ``algo_y``.
@@ -228,15 +238,8 @@ def mini_aps_svg(matrix: PerformanceMatrix, algo_x: str, algo_y: str,
     frame = _Frame(spec)
     parts = _open_svg(spec)
     parts += _axes(frame, algo_x, algo_y, ("0", "0.5", "1"))
-    entries = []
-    for d, vx, vy in plotted:
-        gi = _highlight_group_index(d, spec)
-        color = spec.highlight_groups[gi].color if gi is not None \
-            else spec.point_color
-        circle = _circle(frame.x(vx / max_x), frame.y(vy / max_y),
-                         spec.point_radius_px, color, d)
-        entries.append((d, circle))
-    parts += _layer_circles(entries, spec)
+    parts += _circles(frame, spec, [(d, vx / max_x, vy / max_y)
+                                    for d, vx, vy in plotted])
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -250,16 +253,10 @@ def mini_aps_grid(matrix: PerformanceMatrix, spec: PlotSpec | None = None,
     dataset are skipped with a warning instead of failing the batch.
     """
     if matrix.n_algorithms < 2:
-        raise ValueError("grid needs at least 2 algorithms")
-    if ordered:
-        pairs = [(x, y) for x in matrix.algorithms
-                 for y in matrix.algorithms if x != y]
-    else:
-        pairs = [(matrix.algorithms[i], matrix.algorithms[j])
-                 for i in range(matrix.n_algorithms)
-                 for j in range(i + 1, matrix.n_algorithms)]
+        raise DimensionMismatchError("grid needs at least 2 algorithms")
+    pairs = permutations if ordered else combinations
     plots, warnings = [], []
-    for x, y in pairs:
+    for x, y in pairs(matrix.algorithms, 2):
         try:
             svg = mini_aps_svg(matrix, x, y, spec)
         except NoPlottablePointsError:
@@ -340,47 +337,24 @@ def pca_scatter_svg(projection: PcaProjection,
     parts = _open_svg(spec)
     parts += _axes(frame, x_label, y_label, tick_of(x_lo, x_hi))
 
-    fills: list[str]
-    constant_metric = False
+    fills = None
+    legend = []
     if metric_values is not None:
         present = [v for v in metric_values if v is not None]
         if not present:
             raise NoPlottablePointsError("every metric value is missing")
         v_lo, v_hi = min(present), max(present)
-        constant_metric = v_hi == v_lo
-        fills = []
-        for v in metric_values:
-            if v is None:
-                fills.append(_NEUTRAL)
-            elif constant_metric:
-                fills.append(_GRADIENT_LOW)
-            else:
-                fills.append(_lerp_color(_GRADIENT_LOW, _GRADIENT_HIGH,
-                                         (v - v_lo) / (v_hi - v_lo)))
-    else:
-        fills = []
-        for d in names:
-            gi = _highlight_group_index(d, spec)
-            fills.append(spec.highlight_groups[gi].color if gi is not None
-                         else spec.point_color)
-
-    def place(i: int) -> str:
-        fx = (float(xs[i]) - x_lo) / (x_hi - x_lo)
-        fy = (float(ys[i]) - y_lo) / (y_hi - y_lo)
-        return _circle(frame.x(fx), frame.y(fy), spec.point_radius_px,
-                       fills[i], names[i])
-
-    if metric_values is None and spec.highlight_groups:
-        parts += _layer_circles(
-            [(d, place(i)) for i, d in enumerate(names)], spec)
-    else:
-        parts += [place(i) for i in range(len(names))]
-
-    if metric_values is not None:
-        title = spec.color_by or "metric"
-        if constant_metric:
-            parts += _legend(frame, title, f"{v_lo:.4f}", "", True)
-        else:
-            parts += _legend(frame, title, f"{v_lo:.4f}", f"{v_hi:.4f}", False)
+        constant = v_hi == v_lo
+        span = v_hi - v_lo if not constant else 1.0  # constant: all low
+        fills = [_NEUTRAL if v is None else
+                 _lerp_color(_GRADIENT_LOW, _GRADIENT_HIGH, (v - v_lo) / span)
+                 for v in metric_values]
+        legend = _legend(frame, spec.color_by or "metric", f"{v_lo:.4f}",
+                         "" if constant else f"{v_hi:.4f}", constant)
+    parts += _circles(frame, spec, [
+        (d, (float(x) - x_lo) / (x_hi - x_lo),
+         (float(y) - y_lo) / (y_hi - y_lo))
+        for d, x, y in zip(names, xs, ys)], fills)
+    parts += legend
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -135,6 +135,27 @@ def test_plot_pca_with_coloring(outdir):
     assert "difficulty" in svg
 
 
+def test_report_header_only_input(tmp_path, outdir):
+    src = tmp_path / "empty.csv"
+    src.write_text("dataset,a,b\n", encoding="utf-8")
+    assert run(["report", "-i", str(src), "-o", str(outdir)]) == 0
+    text = read(outdir / "report.md")
+    assert ("Difficulty summary unavailable: no datasets to "
+            "summarize.\n") in text
+    assert "Too few complete rows for subset search.\n" in text
+
+
+def test_report_one_algorithm(tmp_path, outdir):
+    src = tmp_path / "one.csv"
+    src.write_text("dataset,a\nx,0.5\ny,0.2\n", encoding="utf-8")
+    assert run(["report", "-i", str(src), "-o", str(outdir)]) == 0
+    text = read(outdir / "report.md")
+    assert "Mean difficulty 0.6500, median 0.6500" in text
+    assert ("Selections unavailable: search needs at least 2 algorithm "
+            "axes.\n") in text
+    assert "Explained variance ratios (k=1, complete-rows-only)" in text
+
+
 def test_report_sections(outdir):
     assert run(["report", "-i", FIXTURE, "-o", str(outdir)]) == 0
     text = read(outdir / "report.md")
@@ -169,6 +190,45 @@ def test_exit_code_data_errors(tmp_path, capsys):
     out_of_range = tmp_path / "range.csv"
     out_of_range.write_text("dataset,a\nd1,1.5\n", encoding="utf-8")
     assert run(["metrics", "-i", str(out_of_range), "-o", str(tmp_path)]) == 2
+    one_algorithm = tmp_path / "one.csv"
+    one_algorithm.write_text("dataset,a\nx,0.5\ny,0.2\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["plot", "mini", "-i", str(one_algorithm),
+                "-o", str(tmp_path)]) == 2
+    assert "error: grid needs at least 2 algorithms" in capsys.readouterr().err
+
+
+def test_unwritable_output_dir_is_a_user_error(tmp_path, capsys):
+    blocker = tmp_path / "some.csv"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker / "sub"
+    assert run(["metrics", "-i", FIXTURE, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out / 'metrics.csv'}: " in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("key, flag, message", [
+    ("input_format", "--format",
+     "invalid input format 'bogus' (choose from auto, long, wide)"),
+    ("difficulty_orientation", "--difficulty-orientation",
+     "invalid difficulty orientation 'bogus' "
+     "(choose from one-minus-mean, raw-mean)"),
+    ("diversity_variant", "--diversity-variant",
+     "invalid diversity variant 'bogus' (choose from nth-root, literal-sqrt)"),
+    ("pca_imputation", "--pca-imputation",
+     "invalid imputation mode 'bogus' "
+     "(choose from complete-rows-only, zero-fill, mean-fill)"),
+])
+def test_bad_choice_fails_as_flag_and_in_config(tmp_path, capsys, key, flag,
+                                                message):
+    assert run(["validate", "-i", FIXTURE, flag, "bogus"]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid choice: 'bogus'" in err
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = bogus\n", encoding="utf-8")
+    assert run(["validate", "-i", FIXTURE, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_auto_format_detects_long(tmp_path):
@@ -282,4 +342,14 @@ def test_console_script_entry_point(tmp_path):
 
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert re.findall(r"\[(-[^]]*)\]", out) == [
+        "-h", "--input INPUT", "--format {auto,long,wide}",
+        "--output-dir OUTPUT_DIR",
+        "--difficulty-orientation {one-minus-mean,raw-mean}",
+        "--diversity-variant {nth-root,literal-sqrt}",
+        "--pca-imputation {complete-rows-only,zero-fill,mean-fill}",
+        "--config CONFIG"]
+    assert "--input INPUT, -i INPUT" in out
+    assert "--output-dir OUTPUT_DIR, -o OUTPUT_DIR" in out
     assert run(["select", "--help"]) == 0

@@ -2,9 +2,8 @@ import pytest
 
 from conftest import make_matrix
 from apspace.core import (DuplicateCellError, EmptyRowError, InvalidLabelError,
-                          ScoreMeta, ScoreOutOfRangeError,
-                          UnknownAlgorithmError, UnknownDatasetError,
-                          build_matrix, complete_rows)
+                          ScoreOutOfRangeError, UnknownAlgorithmError,
+                          UnknownDatasetError, build_matrix, complete_rows)
 
 
 def test_build_matrix_first_seen_order():
@@ -56,12 +55,6 @@ def test_build_matrix_rejects_bad_labels(label):
         build_matrix([(label, "a", 0.5)])
     with pytest.raises(InvalidLabelError):
         build_matrix([("d", label, 0.5)])
-
-
-def test_score_meta_cutoff():
-    assert ScoreMeta().k == 10
-    with pytest.raises(ValueError):
-        ScoreMeta(k=0)
 
 
 def test_unknown_lookups():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_matrix
+from apspace.ingest import parse_wide
 from apspace.metrics import (DimensionMismatchError, IncompletePointError,
                              NoDataError, TooFewPointsError, difficulty,
                              diversity, metric_table, pairwise_distances,
@@ -241,3 +242,12 @@ def test_median_even_row_count():
     m = make_matrix({"a": [0.1], "b": [0.2], "c": [0.3], "d": [0.4]})
     table = metric_table(m, "raw-mean")
     assert table.median_difficulty == pytest.approx(0.25)
+
+
+def test_empty_table_aggregates_raise_no_data():
+    table = metric_table(parse_wide("dataset,a,b\n"))
+    assert table.rows == ()
+    with pytest.raises(NoDataError):
+        table.mean_difficulty
+    with pytest.raises(NoDataError):
+        table.median_difficulty

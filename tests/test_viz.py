@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from conftest import make_matrix
 from apspace.core import (LengthMismatchError, UnknownAlgorithmError,
                           ZeroColumnError)
+from apspace.metrics import DimensionMismatchError
 from apspace.pca import BadComponentCountError, PcaProjection, pca_project
 from apspace.viz import (HighlightGroup, NoPlottablePointsError, PlotSpec,
                          SameAlgorithmError, mini_aps_grid, mini_aps_svg,
@@ -166,7 +168,7 @@ def test_grid_two_algorithms_single_panel():
 
 
 def test_grid_needs_two_algorithms():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatchError):
         mini_aps_grid(make_matrix({"d": [0.5]}))
 
 
@@ -248,3 +250,30 @@ def test_plot_spec_validation():
         HighlightGroup("g", "pfx", "not-a-color")
     with pytest.raises(ValueError):
         HighlightGroup("", "pfx")
+
+
+# ------------------------------------------------------------- byte pinning
+
+# sha256 of the documents below, recorded before the circle-drawing code
+# was merged into one helper; perfbench/pins.json only covers plots
+# without highlight groups.
+_HIGHLIGHT_SHA256 = (
+    "e8d5f44d0dd8eed88fba6be566180b8a9c86c8d8ddc0ea4d53405fced0f89abd")
+
+
+def test_highlight_svg_bytes_pinned(fixture_matrix):
+    h = hashlib.sha256()
+    for order in (("A", "Amazon", "MovieLens"), ("Amazon", "A", "MovieLens")):
+        spec = PlotSpec(highlight_groups=tuple(
+            HighlightGroup(f"g{i}", prefix, color)
+            for i, (prefix, color) in enumerate(
+                zip(order, ("#112233", "#445566", "#778899")))))
+        for label, svg in mini_aps_grid(fixture_matrix, spec,
+                                        ordered=True).plots:
+            h.update(label.encode() + svg.encode())
+        proj = pca_project(fixture_matrix, 2, "mean-fill")
+        values = [None if i % 7 == 0 else i / 71
+                  for i in range(len(proj.dataset_ids))]
+        for metric_values in (None, values, [0.25] * len(values)):
+            h.update(pca_scatter_svg(proj, metric_values, spec).encode())
+    assert h.hexdigest() == _HIGHLIGHT_SHA256
