@@ -279,6 +279,9 @@ def _cmd_select(matrix: PerformanceMatrix, cfg: RunConfig,
 
 def _cmd_pca(matrix: PerformanceMatrix, cfg: RunConfig,
              ns: argparse.Namespace) -> int:
+    # a count above the algorithm count depends on the data: exit 2 there
+    if ns.components < 1:
+        raise _UserError(f"--components must be >= 1, got {ns.components}")
     projection = pca_project(matrix, k=ns.components,
                              imputation=cfg.pca_imputation)
     k = projection.coordinates.shape[1]

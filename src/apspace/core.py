@@ -120,14 +120,20 @@ def build_matrix(records: Iterable[tuple[str, str, Score]]) -> PerformanceMatrix
     are rejected, never clamped), and :class:`EmptyRowError` if a dataset
     ends up with no present score.
     """
-    datasets: dict[str, None] = {}   # insertion-ordered sets
-    algorithms: dict[str, None] = {}
-    grid: dict[tuple[str, str], Score] = {}
+    rows: dict[str, dict[str, Score]] = {}   # dataset -> {algorithm: score}
+    algorithms: dict[str, None] = {}         # insertion-ordered set
     for dataset, algorithm, score in records:
-        _check_label(dataset, "dataset")
-        _check_label(algorithm, "algorithm")
-        key = (dataset, algorithm)
-        if key in grid:
+        # each label is checked when first seen; an unhashable one fails
+        # the lookup with TypeError, then the check
+        try:
+            row = rows[dataset]
+        except (KeyError, TypeError):
+            row = rows[_check_label(dataset, "dataset")] = {}
+        try:
+            algorithms[algorithm]
+        except (KeyError, TypeError):
+            algorithms[_check_label(algorithm, "algorithm")] = None
+        if algorithm in row:
             raise DuplicateCellError(
                 f"duplicate cell for dataset {dataset!r}, algorithm {algorithm!r}")
         if score is not None:
@@ -136,17 +142,15 @@ def build_matrix(records: Iterable[tuple[str, str, Score]]) -> PerformanceMatrix
                 raise ScoreOutOfRangeError(
                     f"score {score!r} for ({dataset!r}, {algorithm!r}) "
                     "is outside [0, 1]")
-        grid[key] = score
-        datasets[dataset] = None
-        algorithms[algorithm] = None
+        row[algorithm] = score
 
     cells = []
-    for d in datasets:
-        row = tuple(grid.get((d, a)) for a in algorithms)
-        if all(v is None for v in row):
+    for d, row in rows.items():
+        cell_row = tuple(map(row.get, algorithms))
+        if cell_row.count(None) == len(cell_row):
             raise EmptyRowError(f"dataset {d!r} has no present scores")
-        cells.append(row)
-    return PerformanceMatrix(tuple(algorithms), tuple(datasets), tuple(cells))
+        cells.append(cell_row)
+    return PerformanceMatrix(tuple(algorithms), tuple(rows), tuple(cells))
 
 
 def complete_rows(matrix: PerformanceMatrix) -> PerformanceMatrix:

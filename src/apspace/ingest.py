@@ -13,6 +13,7 @@ numbers; writers emit shortest-round-trip floats so parse(write(m)) == m.
 import csv
 import io
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from .core import (ApsError, EmptyRowError, PerformanceMatrix, Score,
@@ -114,9 +115,9 @@ def parse_wide(text: str) -> PerformanceMatrix:
             raise MalformedRowError(f"line {rdr.line_num}: empty dataset name")
         if not algorithms:
             raise EmptyRowError(f"dataset {dataset!r} has no present scores")
-        for algorithm, cell in zip(algorithms, row[1:]):
-            records.append((dataset, algorithm,
-                            _parse_score(cell, rdr.line_num)))
+        line = rdr.line_num
+        records += zip(repeat(dataset), algorithms,
+                       [_parse_score(cell, line) for cell in row[1:]])
     if not records:
         # header-only input: keep the column set so parse(write(m)) == m
         return PerformanceMatrix(tuple(algorithms), (), ())

@@ -68,13 +68,18 @@ def eigh_symmetric(a, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
         raise NotSymmetricError("matrix is not symmetric within 1e-9")
     a = (a + a.T) / 2.0  # fold in any sub-tolerance asymmetry
     n = a.shape[0]
-    v = np.eye(n)
     fro = math.sqrt(float((a * a).sum()))  # invariant under the rotations
+    # Rotate Python lists: at these sizes numpy's per-slice call cost
+    # dominates, and each element sees the same IEEE multiplies and
+    # subtractions as the row and column slice updates would give it.
+    # ``vt[j]`` is column j of the eigenvector matrix.
+    a = a.tolist()
+    vt = np.eye(n).tolist()
     sweeps = 0
     while True:
         # sum the off-diagonal entries directly: subtracting the diagonal
         # mass from the total cancels catastrophically near convergence
-        stripped = a.copy()
+        stripped = np.array(a, dtype=float).reshape(n, n)
         np.fill_diagonal(stripped, 0.0)
         off = math.sqrt(float((stripped * stripped).sum()))
         if off <= 1e-12 * fro:
@@ -85,10 +90,10 @@ def eigh_symmetric(a, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
         sweeps += 1
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = float(a[p, q])
+                apq = a[p][q]
                 if apq == 0.0:
                     continue
-                theta = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
                 if abs(theta) > 1e150:
                     t = 1.0 / (2.0 * theta)
                 else:
@@ -96,17 +101,20 @@ def eigh_symmetric(a, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
                         abs(theta) + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    vals = np.diag(a).copy()
+                for row in a:  # columns p and q
+                    x, y = row[p], row[q]
+                    row[p] = c * x - s * y
+                    row[q] = s * x + c * y
+                row_p, row_q = a[p], a[q]
+                a[p] = [c * x - s * y for x, y in zip(row_p, row_q)]
+                a[q] = [s * x + c * y for x, y in zip(row_p, row_q)]
+                a[p][q] = a[q][p] = 0.0
+                vp, vq = vt[p], vt[q]
+                vt[p] = [c * x - s * y for x, y in zip(vp, vq)]
+                vt[q] = [s * x + c * y for x, y in zip(vp, vq)]
+    vals = np.array([a[j][j] for j in range(n)], dtype=float)
+    # C order: BLAS may round the projection differently for another layout
+    v = np.array(vt, dtype=float).reshape(n, n).T.copy()
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     v = v[:, order]

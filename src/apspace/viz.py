@@ -15,9 +15,11 @@ dataset name, which browsers show as a hover tooltip.
 
 import re
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import Sequence
-from xml.sax.saxutils import escape
+from html import escape as _html_escape
+from itertools import combinations, compress, permutations
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .core import (ApsError, LengthMismatchError, PerformanceMatrix,
                    ZeroColumnError)
@@ -100,6 +102,11 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text; quotes are left as is."""
+    return _html_escape(text, quote=False)
+
+
 def _lerp_color(low: str, high: str, t: float) -> str:
     channels = []
     for i in (1, 3, 5):
@@ -152,7 +159,7 @@ def _axes(frame: _Frame, x_label: str, y_label: str,
         parts.append(
             f'<text x="{_fmt(px)}" y="{_fmt(frame.bottom + 18)}" '
             f'font-family="sans-serif" font-size="11" '
-            f'text-anchor="middle">{escape(label)}</text>')
+            f'text-anchor="middle">{_escape(label)}</text>')
         py = frame.y(frac)
         parts.append(
             f'<line x1="{_fmt(frame.left - 5)}" y1="{_fmt(py)}" '
@@ -161,49 +168,117 @@ def _axes(frame: _Frame, x_label: str, y_label: str,
         parts.append(
             f'<text x="{_fmt(frame.left - 8)}" y="{_fmt(py + 4)}" '
             f'font-family="sans-serif" font-size="11" '
-            f'text-anchor="end">{escape(label)}</text>')
+            f'text-anchor="end">{_escape(label)}</text>')
     mid_x = (frame.left + frame.right) / 2
     mid_y = (frame.top + frame.bottom) / 2
     parts.append(
         f'<text x="{_fmt(mid_x)}" y="{_fmt(frame.bottom + 38)}" '
         f'font-family="sans-serif" font-size="13" '
-        f'text-anchor="middle">{escape(x_label)}</text>')
+        f'text-anchor="middle">{_escape(x_label)}</text>')
     parts.append(
         f'<text x="{_fmt(frame.left - 40)}" y="{_fmt(mid_y)}" '
         f'font-family="sans-serif" font-size="13" text-anchor="middle" '
         f'transform="rotate(-90 {_fmt(frame.left - 40)} {_fmt(mid_y)})">'
-        f'{escape(y_label)}</text>')
+        f'{_escape(y_label)}</text>')
     return parts
 
 
-def _circle(cx: float, cy: float, r: float, fill: str, title: str) -> str:
-    return (f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
-            f'fill="{fill}"><title>{escape(title)}</title></circle>')
-
-
-def _circles(frame: _Frame, spec: PlotSpec,
-             points: Sequence[tuple[str, float, float]],
-             fills: Sequence[str] | None = None) -> list[str]:
-    """One circle per ``(name, x_frac, y_frac)`` point.
+def _point_tails(spec: PlotSpec, names: Sequence[str],
+                 fills: Sequence[str] | None = None
+                 ) -> tuple[list[int], list[str]]:
+    """Draw order of the points and each one's circle text after ``cy``.
 
     With ``fills``, point ``i`` takes ``fills[i]`` and input order is
     kept.  Otherwise a point takes the color of the first highlight
     group whose prefix matches its name, else ``point_color``; plain
     points are drawn first, then each group in turn, so highlights stay
-    on top.
+    on top.  ``tails`` follows the draw order.
     """
     groups = spec.highlight_groups
     colors = (spec.point_color, *(g.color for g in groups))
-    layers: list[list[str]] = [[] for _ in colors]
-    for i, (name, fx, fy) in enumerate(points):
-        layer = 0
-        if fills is None and groups:  # no per-point scan for plain plots
-            layer = next((n for n, g in enumerate(groups, 1)
-                          if name.startswith(g.prefix)), 0)
-        layers[layer].append(_circle(
-            frame.x(fx), frame.y(fy), spec.point_radius_px,
-            colors[layer] if fills is None else fills[i], name))
-    return [c for layer in layers for c in layer]
+    layers = [0] * len(names)
+    if fills is None and groups:  # no per-point scan for plain plots
+        layers = [next((n for n, g in enumerate(groups, 1)
+                        if name.startswith(g.prefix)), 0) for name in names]
+    order = sorted(range(len(names)), key=layers.__getitem__)  # stable
+    if fills is None:
+        fills = [colors[layer] for layer in layers]
+    r = _fmt(spec.point_radius_px)
+    tails = [f' r="{r}" fill="{fills[i]}"><title>{_escape(names[i])}</title>'
+             '</circle>' for i in order]
+    return order, tails
+
+
+def _pixel_text(px: np.ndarray) -> list[str]:
+    """Pixel coordinates computed by numpy, formatted as :func:`_fmt` does.
+
+    ``_Frame.x``/``_Frame.y`` over a float64 array do the same IEEE
+    divide, multiply and add per point as over one Python float.
+    """
+    return [f"{p:.2f}" for p in px.tolist()]
+
+
+def _circles(cx: Iterable[str], cy: Iterable[str],
+             tails: Iterable[str]) -> list[str]:
+    """One circle per point from its formatted pixel coordinates and its
+    text after ``cy`` (see :func:`_point_tails`)."""
+    return [f'<circle cx="{x}" cy="{y}"{tail}'
+            for x, y, tail in zip(cx, cy, tails)]
+
+
+class _MiniPlots:
+    """What every mini plot of one matrix shares, built once per grid.
+
+    The scores as float64 with NaN for gaps, the mask of present cells,
+    and each dataset's circle text, all in draw order.  Most plots of a
+    grid scale an axis by the same column max, so each column's pixel
+    text is formatted once per (axis, max) and kept as a numpy string
+    array, which holds it in a third of the memory of a list of ``str``.
+    """
+
+    def __init__(self, matrix: PerformanceMatrix, spec: PlotSpec):
+        self.matrix = matrix
+        self.spec = spec
+        self.frame = _Frame(spec)
+        order, self.tails = _point_tails(spec, matrix.datasets)
+        self.values = np.array(matrix.cells, dtype=float).reshape(
+            matrix.n_datasets, matrix.n_algorithms)[order]
+        self.present = ~np.isnan(self.values)
+        self._text: dict[tuple[str, int, float], np.ndarray] = {}
+
+    def _column_text(self, axis: str, j: int, peak: float) -> np.ndarray:
+        key = (axis, j, peak)
+        if key not in self._text:
+            to_pixel = self.frame.x if axis == "x" else self.frame.y
+            self._text[key] = np.array(
+                _pixel_text(to_pixel(self.values[:, j] / peak)))
+        return self._text[key]
+
+    def svg(self, algo_x: str, algo_y: str) -> str:
+        if algo_x == algo_y:
+            raise SameAlgorithmError(
+                f"cannot plot algorithm {algo_x!r} against itself")
+        jx = self.matrix.algorithm_index(algo_x)
+        jy = self.matrix.algorithm_index(algo_y)
+        both = self.present[:, jx] & self.present[:, jy]
+        if not both.any():
+            raise NoPlottablePointsError(
+                f"no dataset has scores for both {algo_x!r} and {algo_y!r}")
+        max_x = float(self.values[both, jx].max())
+        max_y = float(self.values[both, jy].max())
+        if max_x <= 0.0:
+            raise ZeroColumnError(
+                f"axis {algo_x!r} has no positive score among plotted datasets")
+        if max_y <= 0.0:
+            raise ZeroColumnError(
+                f"axis {algo_y!r} has no positive score among plotted datasets")
+        parts = _open_svg(self.spec)
+        parts += _axes(self.frame, algo_x, algo_y, ("0", "0.5", "1"))
+        parts += _circles(self._column_text("x", jx, max_x)[both].tolist(),
+                          self._column_text("y", jy, max_y)[both].tolist(),
+                          compress(self.tails, both.tolist()))
+        parts.append("</svg>")
+        return "\n".join(parts) + "\n"
 
 
 def mini_aps_svg(matrix: PerformanceMatrix, algo_x: str, algo_y: str,
@@ -215,33 +290,7 @@ def mini_aps_svg(matrix: PerformanceMatrix, algo_x: str, algo_y: str,
     plotted dataset per axis sits at 1.0.  Highlighted groups (by name
     prefix) are drawn after the plain points so they stay visible.
     """
-    spec = spec or PlotSpec()
-    if algo_x == algo_y:
-        raise SameAlgorithmError(
-            f"cannot plot algorithm {algo_x!r} against itself")
-    jx = matrix.algorithm_index(algo_x)
-    jy = matrix.algorithm_index(algo_y)
-    plotted = [(d, row[jx], row[jy])
-               for d, row in zip(matrix.datasets, matrix.cells)
-               if row[jx] is not None and row[jy] is not None]
-    if not plotted:
-        raise NoPlottablePointsError(
-            f"no dataset has scores for both {algo_x!r} and {algo_y!r}")
-    max_x = max(v for _, v, _ in plotted)
-    max_y = max(v for _, _, v in plotted)
-    if max_x <= 0.0:
-        raise ZeroColumnError(
-            f"axis {algo_x!r} has no positive score among plotted datasets")
-    if max_y <= 0.0:
-        raise ZeroColumnError(
-            f"axis {algo_y!r} has no positive score among plotted datasets")
-    frame = _Frame(spec)
-    parts = _open_svg(spec)
-    parts += _axes(frame, algo_x, algo_y, ("0", "0.5", "1"))
-    parts += _circles(frame, spec, [(d, vx / max_x, vy / max_y)
-                                    for d, vx, vy in plotted])
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _MiniPlots(matrix, spec or PlotSpec()).svg(algo_x, algo_y)
 
 
 def mini_aps_grid(matrix: PerformanceMatrix, spec: PlotSpec | None = None,
@@ -254,11 +303,12 @@ def mini_aps_grid(matrix: PerformanceMatrix, spec: PlotSpec | None = None,
     """
     if matrix.n_algorithms < 2:
         raise DimensionMismatchError("grid needs at least 2 algorithms")
+    plotter = _MiniPlots(matrix, spec or PlotSpec())
     pairs = permutations if ordered else combinations
     plots, warnings = [], []
     for x, y in pairs(matrix.algorithms, 2):
         try:
-            svg = mini_aps_svg(matrix, x, y, spec)
+            svg = plotter.svg(x, y)
         except NoPlottablePointsError:
             warnings.append(f"{x} vs {y}: no datasets with both scores; skipped")
             continue
@@ -275,7 +325,7 @@ def _legend(frame: _Frame, title: str, low_label: str, high_label: str,
     seg_w = 20.0
     parts.append(
         f'<text x="{_fmt(x0)}" y="{_fmt(y + 11)}" font-family="sans-serif" '
-        f'font-size="11" text-anchor="end">{escape(title)}:&#160;</text>')
+        f'font-size="11" text-anchor="end">{_escape(title)}:&#160;</text>')
     if constant:
         parts.append(
             f'<rect x="{_fmt(x0 + 4)}" y="{_fmt(y)}" width="{_fmt(seg_w)}" '
@@ -283,7 +333,7 @@ def _legend(frame: _Frame, title: str, low_label: str, high_label: str,
         parts.append(
             f'<text x="{_fmt(x0 + seg_w + 10)}" y="{_fmt(y + 11)}" '
             f'font-family="sans-serif" font-size="11">'
-            f'{escape(low_label)}</text>')
+            f'{_escape(low_label)}</text>')
         return parts
     for i in range(8):
         color = _lerp_color(_GRADIENT_LOW, _GRADIENT_HIGH, i / 7.0)
@@ -293,11 +343,11 @@ def _legend(frame: _Frame, title: str, low_label: str, high_label: str,
     parts.append(
         f'<text x="{_fmt(x0 + 4)}" y="{_fmt(y + 26)}" '
         f'font-family="sans-serif" font-size="11" text-anchor="start">'
-        f'{escape(low_label)}</text>')
+        f'{_escape(low_label)}</text>')
     parts.append(
         f'<text x="{_fmt(x0 + 4 + 8 * seg_w)}" y="{_fmt(y + 26)}" '
         f'font-family="sans-serif" font-size="11" text-anchor="end">'
-        f'{escape(high_label)}</text>')
+        f'{_escape(high_label)}</text>')
     return parts
 
 
@@ -351,10 +401,11 @@ def pca_scatter_svg(projection: PcaProjection,
                  for v in metric_values]
         legend = _legend(frame, spec.color_by or "metric", f"{v_lo:.4f}",
                          "" if constant else f"{v_hi:.4f}", constant)
-    parts += _circles(frame, spec, [
-        (d, (float(x) - x_lo) / (x_hi - x_lo),
-         (float(y) - y_lo) / (y_hi - y_lo))
-        for d, x, y in zip(names, xs, ys)], fills)
+    order, tails = _point_tails(spec, names, fills)
+    fx = (xs[order] - x_lo) / (x_hi - x_lo)
+    fy = (ys[order] - y_lo) / (y_hi - y_lo)
+    parts += _circles(_pixel_text(frame.x(fx)), _pixel_text(frame.y(fy)),
+                      tails)
     parts += legend
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

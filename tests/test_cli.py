@@ -198,6 +198,22 @@ def test_exit_code_data_errors(tmp_path, capsys):
     assert "error: grid needs at least 2 algorithms" in capsys.readouterr().err
 
 
+def test_pca_component_count_exit_codes(tmp_path, capsys):
+    # the flag's own range is a usage error ...
+    for count in ("0", "-1"):
+        capsys.readouterr()
+        assert run(["pca", "-i", FIXTURE, "-o", str(tmp_path),
+                    "--components", count]) == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: --components must be >= 1, got {count}\n")
+    # ... while more components than the input has algorithms is a data error
+    assert run(["pca", "-i", FIXTURE, "-o", str(tmp_path),
+                "--components", "6"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: component count 6 outside 1..5\n")
+    assert not (tmp_path / "pca.csv").exists()
+
+
 def test_unwritable_output_dir_is_a_user_error(tmp_path, capsys):
     blocker = tmp_path / "some.csv"
     blocker.write_text("", encoding="utf-8")
@@ -308,6 +324,20 @@ def test_outputs_parse_under_own_readers(outdir):
     rows = list(csv.reader(read(outdir / "selections.csv").splitlines()))
     assert rows[0] == ["rank", "size", "datasets", "score"]
     assert all(len(r) == 4 for r in rows)
+
+
+def test_cli_import_leaves_out_the_network_stack():
+    """``apspace.cli`` must not pull in ``urllib.request`` (and with it
+    ``http.client``, ``email`` and ``ssl``): every command pays the import."""
+    source_root = str(Path(apspace.__file__).resolve().parents[1])
+    probe = ("import sys, apspace.cli; "
+             "print(sorted(m for m in ('urllib.request', 'http.client', "
+             "'ssl', 'xml.sax') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": source_root})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_console_script_entry_point(tmp_path):

@@ -57,6 +57,31 @@ def test_build_matrix_rejects_bad_labels(label):
         build_matrix([("d", label, 0.5)])
 
 
+@pytest.mark.parametrize("records, message", [
+    ([(1, "a", 0.5)], "bad dataset name 1"),
+    ([(["x"], "a", 0.5)], "bad dataset name ['x']"),
+    ([("d", None, 0.5)], "bad algorithm name None"),
+    ([("d", ("a",), 0.5)], "bad algorithm name ('a',)"),
+    ([("d", "a", 0.5), ("e", {"a"}, 0.2)], "bad algorithm name {'a'}"),
+])
+def test_build_matrix_rejects_non_str_labels(records, message):
+    # unhashable labels too: a label error, not a TypeError from a lookup
+    with pytest.raises(InvalidLabelError) as info:
+        build_matrix(records)
+    assert str(info.value) == (
+        f"{message}: must be non-empty with no surrounding whitespace")
+
+
+def test_build_matrix_fails_on_the_first_bad_record():
+    # label, then duplicate, then range within a record; records in order
+    with pytest.raises(ScoreOutOfRangeError, match=r"2\.0 for \('d', 'a'\)"):
+        build_matrix([("d", "a", 2.0), ("e", "", 0.2)])
+    with pytest.raises(InvalidLabelError, match="bad algorithm name ''"):
+        build_matrix([("d", "", 2.0), ("d", "a", 0.2)])
+    with pytest.raises(DuplicateCellError):
+        build_matrix([("d", "a", 0.2), ("d", "a", 2.0)])
+
+
 def test_unknown_lookups():
     m = make_matrix({"d": [0.5]})
     with pytest.raises(UnknownDatasetError):

@@ -3,8 +3,9 @@ import csv
 import pytest
 
 from conftest import make_matrix, random_matrix
-from apspace.core import (EmptyRowError, ScoreOutOfRangeError, build_matrix,
-                          complete_rows)
+from apspace.core import (DuplicateCellError, EmptyRowError,
+                          InvalidLabelError, ScoreOutOfRangeError,
+                          build_matrix, complete_rows)
 from apspace.ingest import (MalformedHeaderError, MalformedRowError,
                             RaggedRowError, fixture_path,
                             load_thesis_metadata, parse_long, parse_wide,
@@ -74,6 +75,48 @@ def test_parse_wide_bad_header():
 def test_parse_wide_all_missing_row():
     with pytest.raises(EmptyRowError):
         parse_wide("dataset,a,b\nd,NaN,\n")
+
+
+# Which fault wins when a file has several: every parse fault anywhere in
+# the file (ragged row, unparsable score, empty name) beats every
+# build_matrix fault; within build_matrix records fail in file order, each
+# on its label, then a duplicate, then its range; an all-gap row only
+# after every record has passed.
+@pytest.mark.parametrize("text, error, message", [
+    # out-of-range score in (row 1, column 1), empty label in column 2
+    ("dataset,A,\nd1,1.5,0.3\n", ScoreOutOfRangeError,
+     "score 1.5 for ('d1', 'A') is outside [0, 1]"),
+    ("dataset,A,\nd1,0.5,0.3\n", InvalidLabelError,
+     "bad algorithm name '': must be non-empty with no surrounding "
+     "whitespace"),
+    # duplicated header algorithm, even when its second cell is out of range
+    ("dataset,A,B,A\nd1,0.1,0.2,0.3\n", DuplicateCellError,
+     "duplicate cell for dataset 'd1', algorithm 'A'"),
+    ("dataset,A,A\nd1,0.1,1.3\n", DuplicateCellError,
+     "duplicate cell for dataset 'd1', algorithm 'A'"),
+    # a duplicate dataset loses to a parse fault later in the file ...
+    ("dataset,A,B\nd1,0.1,0.2\nd1,0.3,0.4\nd2,0.5,abc\n",
+     MalformedRowError, "line 4: cannot parse score 'abc'"),
+    ("dataset,A,B\nd1,0.1,0.2\nd1,0.3,0.4\nd2,0.5\n",
+     RaggedRowError, "line 4: expected 3 fields, got 2"),
+    ("dataset,A\nd1,3\n,0.5\n", MalformedRowError,
+     "line 3: empty dataset name"),
+    # ... and wins over a range fault in its own later row
+    ("dataset,A,B\nd1,0.1,0.2\nd2,0.3,0.4\nd1,0.5,2\n",
+     DuplicateCellError, "duplicate cell for dataset 'd1', algorithm 'A'"),
+    # an all-gap row loses to any record fault, and the first one is named
+    ("dataset,A,B\nd1,,NaN\nd2,0.3,7\n", ScoreOutOfRangeError,
+     "score 7.0 for ('d2', 'B') is outside [0, 1]"),
+    ("dataset,A,B\nd1,,NaN\nd2,0.3,0.1\nd2,0.3,0.2\n",
+     DuplicateCellError, "duplicate cell for dataset 'd2', algorithm 'A'"),
+    ("dataset,A,B\nd2,0.3,0.1\nd1,,NaN\nd3,,\n", EmptyRowError,
+     "dataset 'd1' has no present scores"),
+])
+def test_parse_wide_error_precedence(text, error, message):
+    with pytest.raises(error) as info:
+        parse_wide(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_parse_skips_blank_lines_and_crlf_and_bom():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_matrix, random_matrix
 from apspace.core import LengthMismatchError
@@ -118,6 +120,107 @@ def test_eigh_sweep_cap(rng):
     # an already-diagonal input needs no sweeps at all
     vals, _ = eigh_symmetric(np.diag([2.0, 1.0]), max_sweeps=0)
     np.testing.assert_allclose(vals, [2.0, 1.0])
+
+
+def _reference_eigh(a, max_sweeps=100):
+    """The slice-based Jacobi solver, kept as the referee of the list one."""
+    a = np.array(a, dtype=float)
+    a = (a + a.T) / 2.0
+    n = a.shape[0]
+    v = np.eye(n)
+    fro = math.sqrt(float((a * a).sum()))
+    sweeps = 0
+    while True:
+        stripped = a.copy()
+        np.fill_diagonal(stripped, 0.0)
+        off = math.sqrt(float((stripped * stripped).sum()))
+        if off <= 1e-12 * fro:
+            break
+        if sweeps >= max_sweeps:
+            raise NoConvergenceError(
+                f"no convergence after {max_sweeps} Jacobi sweeps")
+        sweeps += 1
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = float(a[p, q])
+                if apq == 0.0:
+                    continue
+                theta = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
+                if abs(theta) > 1e150:
+                    t = 1.0 / (2.0 * theta)
+                else:
+                    t = math.copysign(1.0, theta) / (
+                        abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                col_p, col_q = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p, row_q = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                a[p, q] = a[q, p] = 0.0
+                vp, vq = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+    vals = np.diag(a).copy()
+    order = np.argsort(-vals, kind="stable")
+    vals = vals[order]
+    v = v[:, order]
+    for j in range(n):
+        i = int(np.argmax(np.abs(v[:, j])))
+        if v[i, j] < 0.0:
+            v[:, j] = -v[:, j]
+    return vals, v
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Dense, repeated-eigenvalue, diagonal and zero-heavy inputs, n = 1..20."""
+    n = draw(st.integers(1, 20))
+    kind = draw(st.sampled_from(["dense", "few-values", "repeated",
+                                 "diagonal"]))
+    if kind == "repeated":
+        # Q diag(lam) Q^T with each eigenvalue drawn from a set of two
+        seed = draw(st.integers(0, 2**32 - 1))
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+        lam = draw(st.lists(st.sampled_from([0.0, 2.5]), min_size=n,
+                            max_size=n))
+        a = q @ np.diag(lam) @ q.T
+        return (a + a.T) / 2.0
+    if kind == "few-values":
+        entry = st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5])
+    else:
+        entry = st.floats(-1e3, 1e3, allow_nan=False) | st.just(0.0)
+    if kind == "diagonal":
+        return np.diag(draw(st.lists(entry, min_size=n, max_size=n)))
+    upper = draw(st.lists(entry, min_size=n * n, max_size=n * n))
+    a = np.triu(np.array(upper, dtype=float).reshape(n, n))
+    return a + np.triu(a, 1).T
+
+
+def _outcome(solver, a, max_sweeps):
+    try:
+        return solver(a, max_sweeps=max_sweeps)
+    except NoConvergenceError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_matrices())
+def test_eigh_matches_slice_reference(a):
+    vals, vecs = eigh_symmetric(a)
+    want_vals, want_vecs = _reference_eigh(a)
+    assert np.array_equal(vals, want_vals)
+    assert np.array_equal(vecs, want_vecs)
+    # one sweep is too few for most inputs: both must fail, or agree
+    got = _outcome(eigh_symmetric, a, 1)
+    want = _outcome(_reference_eigh, a, 1)
+    if isinstance(want, str):
+        assert got == want == "no convergence after 1 Jacobi sweeps"
+    else:
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
 
 # ---------------------------------------------------------------- projection

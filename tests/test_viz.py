@@ -1,4 +1,5 @@
 import hashlib
+from itertools import permutations
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -6,12 +7,12 @@ import pytest
 
 from conftest import make_matrix
 from apspace.core import (LengthMismatchError, UnknownAlgorithmError,
-                          ZeroColumnError)
+                          ZeroColumnError, build_matrix)
 from apspace.metrics import DimensionMismatchError
 from apspace.pca import BadComponentCountError, PcaProjection, pca_project
 from apspace.viz import (HighlightGroup, NoPlottablePointsError, PlotSpec,
-                         SameAlgorithmError, mini_aps_grid, mini_aps_svg,
-                         pca_scatter_svg)
+                         SameAlgorithmError, _Frame, _fmt, _pixel_text,
+                         mini_aps_grid, mini_aps_svg, pca_scatter_svg)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -252,6 +253,22 @@ def test_plot_spec_validation():
         HighlightGroup("", "pfx")
 
 
+def test_numpy_pixels_match_scalar_arithmetic():
+    # points are placed by numpy over whole columns; each coordinate must
+    # be the float, and the text, that the scalar _Frame path gives
+    values = np.random.default_rng(5).random(2000)
+    peak = float(values.max())
+    for spec in (PlotSpec(), PlotSpec(width_px=333.3, height_px=1234.5)):
+        frame = _Frame(spec)
+        fracs = values / peak
+        scalar = [v / peak for v in values.tolist()]
+        assert fracs.tolist() == scalar
+        for to_pixel in (frame.x, frame.y):
+            assert to_pixel(fracs).tolist() == [to_pixel(f) for f in scalar]
+            assert _pixel_text(to_pixel(fracs)) == [_fmt(to_pixel(f))
+                                                    for f in scalar]
+
+
 # ------------------------------------------------------------- byte pinning
 
 # sha256 of the documents below, recorded before the circle-drawing code
@@ -277,3 +294,49 @@ def test_highlight_svg_bytes_pinned(fixture_matrix):
         for metric_values in (None, values, [0.25] * len(values)):
             h.update(pca_scatter_svg(proj, metric_values, spec).encode())
     assert h.hexdigest() == _HIGHLIGHT_SHA256
+
+
+# sha256 of an ordered mini grid and two PCA scatters of a gappy 60 x 6
+# matrix with hostile labels, recorded before the points were placed by
+# numpy and their titles formatted once per grid.
+_HOSTILE_SHA256 = (
+    "519a6cab80b61644d6a71a6ffee55bf27f1ed8f009656fc3d4da14a375979ce7")
+
+_HOSTILE_ALGORITHMS = ("Q&A", "algo<1>", 'say "hi"', "naïve", "x'y>z",
+                       "plain")
+
+
+def _hostile_matrix():
+    stems = ("A&B", "A<c>", "Amé", 'A"q"', "b'x", "漢字", "plain")
+    records = []
+    for i in range(60):
+        name = f"{stems[i % len(stems)]} {i}"
+        for j, algorithm in enumerate(_HOSTILE_ALGORITHMS):
+            gap = (i * 7 + j * 3) % 5 == 0 and j != i % 6
+            records.append((name, algorithm,
+                            None if gap else ((i * 37 + j * 11) % 97) / 96))
+    return build_matrix(records)
+
+
+def test_hostile_labels_svg_bytes_pinned():
+    m = _hostile_matrix()
+    spec = PlotSpec(highlight_groups=(
+        HighlightGroup("amp", "A&", "#112233"),
+        HighlightGroup("a", "A", "#445566")))
+    grid = mini_aps_grid(m, spec, ordered=True)
+    assert len(grid.plots) == 30
+    plots = dict(grid.plots)
+    for x, y in permutations(_HOSTILE_ALGORITHMS, 2):
+        assert mini_aps_svg(m, x, y, spec) == plots[f"{x}_vs_{y}"]
+    h = hashlib.sha256()
+    for label, svg in grid.plots:
+        ET.fromstring(svg)
+        h.update(label.encode() + svg.encode())
+    proj = pca_project(m, 2, "mean-fill")
+    values = [None if i % 4 == 1 else (i % 9) / 8
+              for i in range(len(proj.dataset_ids))]
+    for metric_values in (None, values):
+        svg = pca_scatter_svg(proj, metric_values, spec)
+        ET.fromstring(svg)
+        h.update(svg.encode())
+    assert h.hexdigest() == _HOSTILE_SHA256
