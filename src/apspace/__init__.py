@@ -10,12 +10,11 @@ scatter plots.  See the ``aps`` command for the batch front end.
 from .core import (ApsError, DuplicateCellError, EmptyRowError,
                    InvalidLabelError, LengthMismatchError, PerformanceMatrix,
                    ScoreOutOfRangeError, UnknownAlgorithmError,
-                   UnknownDatasetError, ZeroColumnError, build_matrix,
-                   complete_rows)
+                   UnknownDatasetError, ZeroColumnError, build_matrix)
 from .ingest import (ValidationReport, load_thesis_matrix, parse_long,
                      parse_wide, validate, write_long, write_wide)
 from .metrics import (DiversityBreakdown, MetricReport, MetricRow, difficulty,
-                      diversity, metric_table, pairwise_distances, variance)
+                      diversity, metric_table, variance)
 from .pca import PcaProjection, covariance, eigh_symmetric, pca_project, pearson
 from .search import (SearchResult, Selection, exhaustive_search, greedy_search,
                      score_selection)
@@ -28,11 +27,11 @@ __all__ = [
     "ApsError", "DuplicateCellError", "EmptyRowError", "InvalidLabelError",
     "LengthMismatchError", "PerformanceMatrix",
     "ScoreOutOfRangeError", "UnknownAlgorithmError", "UnknownDatasetError",
-    "ZeroColumnError", "build_matrix", "complete_rows",
+    "ZeroColumnError", "build_matrix",
     "ValidationReport", "load_thesis_matrix", "parse_long", "parse_wide",
     "validate", "write_long", "write_wide",
     "DiversityBreakdown", "MetricReport", "MetricRow", "difficulty",
-    "diversity", "metric_table", "pairwise_distances", "variance",
+    "diversity", "metric_table", "variance",
     "PcaProjection", "covariance", "eigh_symmetric", "pca_project", "pearson",
     "SearchResult", "Selection", "exhaustive_search", "greedy_search",
     "score_selection",

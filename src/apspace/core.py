@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
+import numpy as np
+
 Score = float | None
 
 
@@ -56,7 +58,8 @@ class PerformanceMatrix:
     ``cells[i][j]`` is the score of ``algorithms[j]`` on ``datasets[i]``,
     or ``None`` where no result exists.  Rows and columns keep the order
     they were first seen in; use :func:`build_matrix` to construct one
-    with full validation.
+    with full validation.  ``complete`` and ``values`` are the one owner
+    of row completeness and of the float view; both are cached, read-only.
     """
 
     algorithms: tuple[str, ...]
@@ -100,8 +103,25 @@ class PerformanceMatrix:
         j = self.algorithm_index(algorithm)
         return tuple(r[j] for r in self.cells)
 
+    @cached_property
+    def complete(self) -> np.ndarray:
+        """Per-row bool mask: True where every algorithm has a score."""
+        mask = np.fromiter((None not in row for row in self.cells),
+                           dtype=bool, count=len(self.cells))
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The cells as a float64 ``n_datasets x n_algorithms`` array,
+        NaN for each gap."""
+        arr = np.array(self.cells, dtype=float).reshape(
+            self.n_datasets, self.n_algorithms)
+        arr.flags.writeable = False
+        return arr
+
     def is_complete(self, dataset: str) -> bool:
-        return None not in self.row(dataset)
+        return bool(self.complete[self.dataset_index(dataset)])
 
 
 def _check_label(label: str, kind: str) -> str:
@@ -151,16 +171,3 @@ def build_matrix(records: Iterable[tuple[str, str, Score]]) -> PerformanceMatrix
             raise EmptyRowError(f"dataset {d!r} has no present scores")
         cells.append(cell_row)
     return PerformanceMatrix(tuple(algorithms), tuple(rows), tuple(cells))
-
-
-def complete_rows(matrix: PerformanceMatrix) -> PerformanceMatrix:
-    """Sub-matrix keeping only datasets with a score under every algorithm.
-
-    Column set and both orders are preserved; idempotent.
-    """
-    keep = [i for i, row in enumerate(matrix.cells) if None not in row]
-    return PerformanceMatrix(
-        matrix.algorithms,
-        tuple(matrix.datasets[i] for i in keep),
-        tuple(matrix.cells[i] for i in keep),
-    )

@@ -159,25 +159,23 @@ def validate(matrix: PerformanceMatrix) -> ValidationReport:
     present = sum(v is not None for row in matrix.cells for v in row)
     total = matrix.n_datasets * matrix.n_algorithms
     warnings = []
-    complete_count = 0
-    for dataset, row in zip(matrix.datasets, matrix.cells):
+    for dataset, row, complete in zip(matrix.datasets, matrix.cells,
+                                      matrix.complete):
         n_present = sum(v is not None for v in row)
         if n_present == 1 and matrix.n_algorithms > 1:
             warnings.append(
                 f"dataset {dataset!r} has a single present score; "
                 "variance is undefined")
-        if None in row:
+        if not complete:
             warnings.append(
                 f"dataset {dataset!r} is incomplete; "
                 "excluded from subset search by default")
-        else:
-            complete_count += 1
     return ValidationReport(
         dataset_count=matrix.n_datasets,
         algorithm_count=matrix.n_algorithms,
         present_cells=present,
         missing_cells=total - present,
-        complete_row_count=complete_count,
+        complete_row_count=int(matrix.complete.sum()),
         warnings=tuple(warnings),
     )
 

@@ -21,7 +21,7 @@ class NoDataError(ApsError):
 
 
 class TooFewPointsError(ApsError):
-    """Pairwise/spread computations need at least two points."""
+    """Diversity needs at least two points."""
 
 
 class IncompletePointError(ApsError):
@@ -63,9 +63,9 @@ def variance(row: Sequence[Score]) -> float | None:
     return sum(gaps) / len(gaps)
 
 
-def _check_points(points: Sequence[Sequence[float]],
-                  min_axes: int = 1) -> int:
-    """Shared validation for point sets; returns the dimensionality."""
+def _check_points(points: Sequence[Sequence[float]]) -> int:
+    """Validation of a point set for :func:`diversity`; returns the
+    dimensionality."""
     if len(points) < 2:
         raise TooFewPointsError(
             f"need at least 2 points, got {len(points)}")
@@ -77,17 +77,9 @@ def _check_points(points: Sequence[Sequence[float]],
         if any(v is None for v in p):
             raise IncompletePointError(
                 "point has a missing coordinate; drop or impute it first")
-    if n < min_axes:
-        raise DimensionMismatchError(
-            f"need at least {min_axes} axes, got {n}")
+    if n < 2:
+        raise DimensionMismatchError(f"need at least 2 axes, got {n}")
     return n
-
-
-def pairwise_distances(points: Sequence[Sequence[float]]) -> list[float]:
-    """Euclidean distance for every unordered pair, in (i, j) i<j order."""
-    _check_points(points)
-    return [math.dist(points[i], points[j])
-            for i, j in combinations(range(len(points)), 2)]
 
 
 @dataclass(frozen=True)
@@ -138,7 +130,7 @@ def diversity(rows: Sequence[Sequence[float]], variant: str = "nth-root",
     """
     if variant not in DIVERSITY_VARIANTS:
         raise ValueError(f"unknown diversity variant {variant!r}")
-    n = _check_points(rows, min_axes=2)
+    n = _check_points(rows)
     dists, mu, var_d, ranges, vol, score = _evaluate(rows, n, variant)
     return DiversityBreakdown(
         datasets=tuple(datasets) if datasets is not None else None,

@@ -158,9 +158,8 @@ def pca_project(matrix: PerformanceMatrix, k: int = 2,
         raise BadComponentCountError(
             f"component count {k} outside 1..{n}")
     if imputation == "complete-rows-only":
-        names = [d for d, row in zip(matrix.datasets, matrix.cells)
-                 if None not in row]
-        data = [[float(v) for v in matrix.row(d)] for d in names]
+        names = [d for d, ok in zip(matrix.datasets, matrix.complete) if ok]
+        x = matrix.values[matrix.complete]
     else:
         fills = []
         for j in range(n):
@@ -170,12 +169,10 @@ def pca_project(matrix: PerformanceMatrix, k: int = 2,
             else:
                 fills.append(sum(present) / len(present))
         names = list(matrix.datasets)
-        data = [[fills[j] if v is None else float(v)
-                 for j, v in enumerate(row)] for row in matrix.cells]
-    if len(data) < 2:
+        x = np.where(np.isnan(matrix.values), fills, matrix.values)
+    if len(x) < 2:
         raise TooFewRowsError(
-            f"projection needs >= 2 usable rows, got {len(data)}")
-    x = np.array(data, dtype=float)
+            f"projection needs >= 2 usable rows, got {len(x)}")
     means = x.mean(axis=0)
     centered = x - means
     vals, vecs = eigh_symmetric(covariance(centered))

@@ -82,26 +82,25 @@ def score_selection(matrix: PerformanceMatrix, datasets: Sequence[str],
     if len(set(names)) != len(names):
         raise InvalidSelectionError(f"duplicate dataset names in {names!r}")
     names.sort()
-    rows = []
     for name in names:
-        row = matrix.row(name)  # raises UnknownDatasetError
-        if None in row:
+        if not matrix.is_complete(name):  # raises UnknownDatasetError
             raise IncompleteDatasetError(
                 f"dataset {name!r} has missing scores and no position "
                 "in the full space")
-        rows.append([float(v) for v in row])
+    rows = matrix.values[[matrix.dataset_index(d) for d in names]].tolist()
     return diversity(rows, variant=variant, datasets=names)
 
 
 def _eligible_points(matrix: PerformanceMatrix):
+    """The complete rows' names, sorted, and their points in that order."""
     if matrix.n_algorithms < 2:
         raise DimensionMismatchError(
             "search needs at least 2 algorithm axes")
-    names = sorted(d for d in matrix.datasets if matrix.is_complete(d))
-    if not names:
+    rows = sorted(np.flatnonzero(matrix.complete).tolist(),
+                  key=matrix.datasets.__getitem__)
+    if not rows:
         raise NoCompleteRowsError("no complete rows to search over")
-    points = {d: tuple(float(v) for v in matrix.row(d)) for d in names}
-    return names, points
+    return [matrix.datasets[i] for i in rows], matrix.values[rows]
 
 
 def _check_size(size: int, n_eligible: int) -> None:
@@ -112,10 +111,12 @@ def _check_size(size: int, n_eligible: int) -> None:
             f"subset size {size} exceeds the {n_eligible} complete rows")
 
 
-def _keyed(names, points, n_axes, variant, sign):
-    """Rank key ``(sign * score, names)`` of one name tuple, and its score."""
-    score = _evaluate([points[d] for d in names], n_axes, variant)[5]
-    return (sign * score, names), score
+def _keyed(idx, rows, n_axes, variant, sign):
+    """Rank key ``(sign * score, idx)`` of one ascending tuple of indices
+    into the sorted names, and its score.  Such tuples order exactly as
+    the name tuples they stand for."""
+    score = _evaluate([rows[i] for i in idx], n_axes, variant)[5]
+    return (sign * score, idx), score
 
 
 def _index_batches(n, size):
@@ -130,10 +131,10 @@ def _index_batches(n, size):
         yield flat.reshape(-1, size)
 
 
-def _ranker(names, points, n_axes, variant, sign):
+def _ranker(P, n_axes, variant, sign):
     """Return ``top(batches, top_k)``: the ``top_k`` smallest ``(key,
     score)`` of :func:`_keyed` over every row of ``batches``, ``B x k``
-    arrays of indices into the sorted ``names``.
+    arrays of indices into ``P``, the points of the sorted names.
 
     Rows are scored with numpy, the formula of ``metrics._evaluate`` over
     a distance matrix computed once.  numpy reduces in another order, so
@@ -145,8 +146,8 @@ def _ranker(names, points, n_axes, variant, sign):
     order, so scores, ties and near-ties come out exactly as the scalar
     search gives them.
     """
-    P = np.array([points[d] for d in names])
-    D = np.zeros((len(names), len(names)))
+    rows = P.tolist()
+    D = np.zeros((len(P), len(P)))
     for col in P.T:  # one n x n temporary per axis, not n x n x axes
         D += (col[:, None] - col[None, :]) ** 2
     np.sqrt(D, out=D)
@@ -170,8 +171,7 @@ def _ranker(names, points, n_axes, variant, sign):
                 cut = min(cut, best[-1][0][0])
             near = idx[keys <= cut + _TIE_TOL].tolist()
             best = heapq.nsmallest(
-                top_k, best + [_keyed(tuple(names[i] for i in row), points,
-                                      n_axes, variant, sign)
+                top_k, best + [_keyed(tuple(row), rows, n_axes, variant, sign)
                                for row in near],
                 key=lambda item: item[0])
         return best
@@ -191,13 +191,14 @@ def exhaustive_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
         raise ValueError(f"unknown search mode {mode!r}")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    names, points = _eligible_points(matrix)
+    names, P = _eligible_points(matrix)
     _check_size(size, len(names))
     sign = -1.0 if mode == "max" else 1.0
-    top_of = _ranker(names, points, matrix.n_algorithms, variant, sign)
+    top_of = _ranker(P, matrix.n_algorithms, variant, sign)
     best = top_of(_index_batches(len(names), size), top_k)
-    top = tuple(Selection(datasets=names_, score=score, rank=i + 1)
-                for i, ((_, names_), score) in enumerate(best))
+    top = tuple(Selection(datasets=tuple(names[i] for i in idx), score=score,
+                          rank=rank)
+                for rank, ((_, idx), score) in enumerate(best, 1))
     return SearchResult(mode=mode, size=size, variant=variant,
                         candidates_evaluated=math.comb(len(names), size),
                         top=top)
@@ -215,19 +216,19 @@ def greedy_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
     """
     if mode not in SEARCH_MODES:
         raise ValueError(f"unknown search mode {mode!r}")
-    names, points = _eligible_points(matrix)
+    names, P = _eligible_points(matrix)
     _check_size(size, len(names))
     n = len(names)
-    top_of = _ranker(names, points, matrix.n_algorithms, variant,
+    top_of = _ranker(P, matrix.n_algorithms, variant,
                      -1.0 if mode == "max" else 1.0)
     [((_, subset), score)] = top_of(_index_batches(n, 2), 1)
     evaluated = math.comb(n, 2)
     while len(subset) < size:
-        have = [i for i, d in enumerate(names) if d in subset]
-        rest = [i for i, d in enumerate(names) if d not in subset]
-        batch = np.sort(np.array([have + [i] for i in rest]), axis=1)
+        rest = [i for i in range(n) if i not in subset]
+        batch = np.sort(np.array([subset + (i,) for i in rest]), axis=1)
         [((_, subset), score)] = top_of([batch], 1)
         evaluated += len(rest)
-    top = (Selection(datasets=subset, score=score, rank=1),)
+    top = (Selection(datasets=tuple(names[i] for i in subset), score=score,
+                     rank=1),)
     return SearchResult(mode=mode, size=size, variant=variant,
                         candidates_evaluated=evaluated, top=top)

@@ -241,8 +241,7 @@ class _MiniPlots:
         self.spec = spec
         self.frame = _Frame(spec)
         order, self.tails = _point_tails(spec, matrix.datasets)
-        self.values = np.array(matrix.cells, dtype=float).reshape(
-            matrix.n_datasets, matrix.n_algorithms)[order]
+        self.values = matrix.values[order]
         self.present = ~np.isnan(self.values)
         self._text: dict[tuple[str, int, float], np.ndarray] = {}
 

@@ -1,9 +1,15 @@
+import importlib
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_matrix
 from apspace.core import (DuplicateCellError, EmptyRowError, InvalidLabelError,
                           ScoreOutOfRangeError, UnknownAlgorithmError,
-                          UnknownDatasetError, build_matrix, complete_rows)
+                          UnknownDatasetError, build_matrix)
 
 
 def test_build_matrix_first_seen_order():
@@ -90,20 +96,45 @@ def test_unknown_lookups():
         m.algorithm_index("nope")
 
 
-def test_complete_rows_filters_and_preserves_order():
-    m = make_matrix({"a": [0.1, 0.2], "b": [0.3, None], "c": [0.5, 0.6]})
-    sub = complete_rows(m)
-    assert sub.datasets == ("a", "c")
-    assert sub.algorithms == m.algorithms
-    assert sub.cells == ((0.1, 0.2), (0.5, 0.6))
-    # idempotent
-    assert complete_rows(sub) == sub
+@st.composite
+def gappy_matrices(draw):
+    """Up to 6 x 4 matrices with random gaps and no all-gap row."""
+    n_axes = draw(st.integers(1, 4))
+    cell = st.one_of(st.none(), st.floats(0.0, 1.0))
+    rows = draw(st.lists(
+        st.lists(cell, min_size=n_axes, max_size=n_axes).filter(
+            lambda row: row.count(None) < len(row)),
+        max_size=6))
+    return build_matrix((f"d{i}", f"a{j}", v) for i, row in enumerate(rows)
+                        for j, v in enumerate(row))
+
+
+@given(gappy_matrices())
+def test_complete_and_values_match_cells(m):
+    assert m.values.dtype == np.float64
+    assert m.values.shape == (m.n_datasets, m.n_algorithms)
+    for row, got in zip(m.cells, m.values.tolist()):
+        assert all(math.isnan(g) if v is None else g == v
+                   for v, g in zip(row, got))
+    assert m.complete.tolist() == [None not in row for row in m.cells]
+    assert m.complete.tolist() == [m.is_complete(d) for d in m.datasets]
+    # cached: every caller shares one array, so none may write into it
+    assert m.values is m.values and m.complete is m.complete
+    with pytest.raises(ValueError):
+        m.values[...] = 0.5
+    with pytest.raises(ValueError):
+        m.complete[...] = True
 
 
 def test_complete_rows_fixture_count(fixture_matrix):
-    sub = complete_rows(fixture_matrix)
-    assert sub.n_datasets == 39
-    assert sub.algorithms == fixture_matrix.algorithms
-    # order preserved: the kept names appear in original relative order
-    kept = iter(fixture_matrix.datasets)
-    assert all(any(k == d for k in kept) for d in sub.datasets)
+    assert int(fixture_matrix.complete.sum()) == 39
+    assert sum(map(fixture_matrix.is_complete, fixture_matrix.datasets)) == 39
+
+
+@pytest.mark.parametrize("module", ["apspace", "apspace.ingest"])
+def test_exports_resolve_once(module):
+    """``from <module> import *`` cannot break on a stale or doubled name."""
+    mod = importlib.import_module(module)
+    assert len(set(mod.__all__)) == len(mod.__all__)
+    for name in mod.__all__:
+        assert hasattr(mod, name), name

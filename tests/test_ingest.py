@@ -4,8 +4,8 @@ import pytest
 
 from conftest import make_matrix, random_matrix
 from apspace.core import (DuplicateCellError, EmptyRowError,
-                          InvalidLabelError, ScoreOutOfRangeError,
-                          build_matrix, complete_rows)
+                          InvalidLabelError, PerformanceMatrix,
+                          ScoreOutOfRangeError, build_matrix)
 from apspace.ingest import (MalformedHeaderError, MalformedRowError,
                             RaggedRowError, fixture_path,
                             load_thesis_metadata, parse_long, parse_wide,
@@ -119,6 +119,32 @@ def test_parse_wide_error_precedence(text, error, message):
     assert str(info.value) == message
 
 
+# How a score token reads, the same through both parsers: only the exact
+# spelling ``NaN`` (or an empty field) is a gap; ``nan`` and the
+# infinities parse as floats and are then rejected by their range, never
+# taken as gaps; tiny and negative-zero values are in range.
+@pytest.mark.parametrize("parse, text", [
+    (parse_wide, "dataset,A,B\nd1,{},0.5\n"),
+    (parse_long, "dataset,algorithm,score\nd1,A,{}\nd1,B,0.5\n"),
+], ids=["wide", "long"])
+@pytest.mark.parametrize("token, cell", [
+    ("NaN", None), ("", None), ("-0.0", "-0.0"), ("1e-400", "0.0"),
+    ("nan", ScoreOutOfRangeError), ("inf", ScoreOutOfRangeError),
+    ("-inf", ScoreOutOfRangeError),
+])
+def test_score_token_reading(parse, text, token, cell):
+    if cell is ScoreOutOfRangeError:
+        with pytest.raises(ScoreOutOfRangeError) as info:
+            parse(text.format(token))
+        assert str(info.value) == (
+            f"score {token} for ('d1', 'A') is outside [0, 1]")
+    else:
+        got = parse(text.format(token)).cells[0]
+        assert got[1] == 0.5
+        # repr tells -0.0 from 0.0
+        assert (got[0] if got[0] is None else repr(got[0])) == cell
+
+
 def test_parse_skips_blank_lines_and_crlf_and_bom():
     text = "﻿dataset,a\r\n\r\nd1,0.5\r\n"
     m = parse_wide(text)
@@ -157,7 +183,7 @@ def test_round_trip_random_matrices(rng):
 
 
 def test_round_trip_zero_dataset_matrix():
-    m = complete_rows(make_matrix({"d": [0.5, None]}))
+    m = PerformanceMatrix(("algo0", "algo1"), (), ())
     assert m.n_datasets == 0 and m.n_algorithms == 2
     text = write_wide(m)
     assert text == "dataset,algo0,algo1\n"

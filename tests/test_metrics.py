@@ -1,15 +1,13 @@
 import math
 from itertools import permutations
 
-import numpy as np
 import pytest
 
 from conftest import make_matrix
 from apspace.ingest import parse_wide
 from apspace.metrics import (DimensionMismatchError, IncompletePointError,
                              NoDataError, TooFewPointsError, difficulty,
-                             diversity, metric_table, pairwise_distances,
-                             variance)
+                             diversity, metric_table, variance)
 
 
 # ---------------------------------------------------------------- difficulty
@@ -99,28 +97,18 @@ def test_variance_fixture_spot_values(fixture_matrix):
 # ------------------------------------------------------------------ distance
 
 def test_pairwise_distances_triangle():
-    assert pairwise_distances([(0, 0), (3, 0), (0, 4)]) == [3.0, 4.0, 5.0]
+    assert diversity([(0, 0), (3, 0), (0, 4)]).pairwise == (3.0, 4.0, 5.0)
 
 
 def test_pairwise_distances_pair_order():
     # (i, j) with i < j, row-major
-    d = pairwise_distances([(0,), (1,), (3,)])
-    assert d == [1.0, 3.0, 2.0]
-
-
-def test_pairwise_distances_errors():
-    with pytest.raises(TooFewPointsError):
-        pairwise_distances([(0, 0)])
-    with pytest.raises(IncompletePointError):
-        pairwise_distances([(0, 0), (1, None)])
-    with pytest.raises(DimensionMismatchError):
-        pairwise_distances([(0, 0), (1, 1, 1)])
+    d = diversity([(0, 0), (1, 0), (3, 0)]).pairwise
+    assert d == (1.0, 3.0, 2.0)
 
 
 def test_pairwise_distance_fixture_neighbors(fixture_matrix):
-    a = [float(v) for v in fixture_matrix.row("MovieLens1m")]
-    b = [float(v) for v in fixture_matrix.row("MovieLens100k")]
-    assert pairwise_distances([a, b])[0] == pytest.approx(0.0652379, abs=1e-6)
+    rows = [fixture_matrix.row(d) for d in ("MovieLens1m", "MovieLens100k")]
+    assert diversity(rows).pairwise[0] == pytest.approx(0.0652379, abs=1e-6)
 
 
 # ----------------------------------------------------------------- diversity
