@@ -106,6 +106,15 @@ def test_pairwise_distances_pair_order():
     assert d == (1.0, 3.0, 2.0)
 
 
+def test_pairwise_distances_errors():
+    with pytest.raises(TooFewPointsError):
+        diversity([(0, 0)])
+    with pytest.raises(IncompletePointError):
+        diversity([(0, 0), (1, None)])
+    with pytest.raises(DimensionMismatchError):
+        diversity([(0, 0), (1, 1, 1)])
+
+
 def test_pairwise_distance_fixture_neighbors(fixture_matrix):
     rows = [fixture_matrix.row(d) for d in ("MovieLens1m", "MovieLens100k")]
     assert diversity(rows).pairwise[0] == pytest.approx(0.0652379, abs=1e-6)
