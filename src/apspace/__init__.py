@@ -11,8 +11,8 @@ from .core import (ApsError, DuplicateCellError, EmptyRowError,
                    InvalidLabelError, LengthMismatchError, PerformanceMatrix,
                    ScoreOutOfRangeError, UnknownAlgorithmError,
                    UnknownDatasetError, ZeroColumnError, build_matrix)
-from .ingest import (ValidationReport, load_thesis_matrix, parse_long,
-                     parse_wide, validate, write_long, write_wide)
+from .ingest import (ValidationReport, load_thesis_matrix, parse_csv,
+                     parse_long, parse_wide, validate, write_long, write_wide)
 from .metrics import (DiversityBreakdown, MetricReport, MetricRow, difficulty,
                       diversity, metric_table, variance)
 from .pca import PcaProjection, covariance, eigh_symmetric, pca_project, pearson
@@ -28,8 +28,8 @@ __all__ = [
     "LengthMismatchError", "PerformanceMatrix",
     "ScoreOutOfRangeError", "UnknownAlgorithmError", "UnknownDatasetError",
     "ZeroColumnError", "build_matrix",
-    "ValidationReport", "load_thesis_matrix", "parse_long", "parse_wide",
-    "validate", "write_long", "write_wide",
+    "ValidationReport", "load_thesis_matrix", "parse_csv", "parse_long",
+    "parse_wide", "validate", "write_long", "write_wide",
     "DiversityBreakdown", "MetricReport", "MetricRow", "difficulty",
     "diversity", "metric_table", "variance",
     "PcaProjection", "covariance", "eigh_symmetric", "pca_project", "pearson",

@@ -33,10 +33,6 @@ class _UserError(Exception):
     """Bad flags or config; maps to exit 1."""
 
 
-class _DataError(Exception):
-    """Unreadable input file; maps to exit 2 like ApsError."""
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved options for one run; the field defaults are the CLI's."""
@@ -55,7 +51,7 @@ _CONFIG_KEYS = tuple(f.name for f in dataclass_fields(RunConfig))
 # noun its error message uses.  argparse checks flags against them and
 # _resolve_config checks the merged values, config-file ones included.
 _CHOICES = {
-    "input_format": ("input format", ("auto", "long", "wide")),
+    "input_format": ("input format", ingest.INPUT_FORMATS),
     "difficulty_orientation": ("difficulty orientation",
                                DIFFICULTY_ORIENTATIONS),
     "diversity_variant": ("diversity variant", DIVERSITY_VARIANTS),
@@ -108,13 +104,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Analyze an algorithm-performance matrix: per-dataset "
                     "metrics, diverse-subset search, PCA, and SVG plots.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate", parents=[common],
-                   help="print shape counts and warnings for the input")
-    sub.add_parser("metrics", parents=[common],
-                   help="write per-dataset difficulty/variance to metrics.csv")
-    p_sel = sub.add_parser("select", parents=[common],
-                           help="search dataset subsets by diversity; "
-                                "writes selections.csv")
+
+    def command(parent, name, handler, summary):
+        p = parent.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
+    command(sub, "validate", _cmd_validate,
+            "print shape counts and warnings for the input")
+    command(sub, "metrics", _cmd_metrics,
+            "write per-dataset difficulty/variance to metrics.csv")
+    p_sel = command(sub, "select", _cmd_select,
+                    "search dataset subsets by diversity; "
+                    "writes selections.csv")
     p_sel.add_argument("--size", required=True,
                        help="subset size or range, e.g. 3 or 2..4")
     p_sel.add_argument("--mode", choices=SEARCH_MODES, default="max")
@@ -122,19 +124,22 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="how many ranked selections to keep per size")
     p_sel.add_argument("--strategy", choices=("exhaustive", "greedy"),
                        default="exhaustive")
-    p_pca = sub.add_parser("pca", parents=[common],
-                           help="project datasets onto principal components; "
-                                "writes pca.csv")
-    p_pca.add_argument("--components", type=int, default=2)
-    p_plot = sub.add_parser("plot", parents=[common],
-                            help="write SVG scatter plots")
-    p_plot.add_argument("kind", choices=("mini", "pca"))
-    p_plot.add_argument("--color-by", choices=("difficulty", "variance"),
-                        default=None, help="gradient-color the PCA scatter")
-    p_plot.add_argument("--ordered", action="store_true",
-                        help="mini grid: render both orientations of each pair")
-    sub.add_parser("report", parents=[common],
-                   help="write a Markdown summary to report.md")
+    command(sub, "pca", _cmd_pca,
+            "project datasets onto principal components; writes pca.csv"
+            ).add_argument("--components", type=int, default=2)
+    plot = sub.add_parser("plot", parents=[common],
+                          help="write SVG scatter plots"
+                          ).add_subparsers(dest="kind", required=True)
+    command(plot, "mini", _cmd_plot_mini,
+            "one scatter per pair of algorithms"
+            ).add_argument("--ordered", action="store_true",
+                           help="render both orientations of each pair")
+    command(plot, "pca", _cmd_plot_pca,
+            "scatter of the first two components"
+            ).add_argument("--color-by", choices=("difficulty", "variance"),
+                           default=None, help="gradient-color the points")
+    command(sub, "report", _cmd_report,
+            "write a Markdown summary to report.md")
     return parser
 
 
@@ -189,14 +194,8 @@ def _load_matrix(cfg: RunConfig) -> PerformanceMatrix:
     try:
         text = Path(cfg.input_path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _DataError(f"cannot read input {cfg.input_path}: {exc}") from None
-    fmt = cfg.input_format
-    if fmt == "auto":
-        first = text.lstrip("﻿").split("\n", 1)[0].rstrip("\r")
-        fmt = "long" if first == "dataset,algorithm,score" else "wide"
-    if fmt == "long":
-        return ingest.parse_long(text)
-    return ingest.parse_wide(text)
+        raise ApsError(f"cannot read input {cfg.input_path}: {exc}") from None
+    return ingest.parse_csv(text, cfg.input_format)
 
 
 def _emit(cfg: RunConfig, name: str, text: str) -> None:
@@ -260,6 +259,9 @@ def _cmd_select(matrix: PerformanceMatrix, cfg: RunConfig,
     lo, hi = _parse_size_range(ns.size)
     if ns.top < 1:
         raise _UserError(f"--top must be >= 1, got {ns.top}")
+    if ns.strategy == "greedy" and ns.top != 1:
+        raise _UserError(f"--top {ns.top} needs --strategy exhaustive; "
+                         "greedy builds one subset per size")
     rows = []
     for size in range(lo, hi + 1):
         if ns.strategy == "greedy":
@@ -298,41 +300,33 @@ def _safe_name(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", label)
 
 
-def _metric_values(matrix: PerformanceMatrix, ids: Sequence[str],
-                   which: str, orientation: str):
-    report = metric_table(matrix, orientation)
-    by_name = {r.dataset: r for r in report.rows}
-    if which == "difficulty":
-        return [by_name[d].difficulty for d in ids]
-    return [by_name[d].variance for d in ids]
+def _cmd_plot_mini(matrix: PerformanceMatrix, cfg: RunConfig,
+                   ns: argparse.Namespace) -> int:
+    grid = mini_aps_grid(matrix, ordered=ns.ordered)
+    for warning in grid.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    seen: dict[str, str] = {}
+    for label, _ in grid.plots:
+        name = _safe_name(label)
+        if name in seen:
+            raise ApsError(f"plot labels {seen[name]!r} and {label!r} "
+                           f"both map to mini_{name}.svg")
+        seen[name] = label
+    for label, svg in grid.plots:
+        _emit(cfg, f"mini_{_safe_name(label)}.svg", svg)
+    return 0
 
 
-def _cmd_plot(matrix: PerformanceMatrix, cfg: RunConfig,
-              ns: argparse.Namespace) -> int:
-    if ns.kind == "mini":
-        grid = mini_aps_grid(matrix, ordered=ns.ordered)
-        for warning in grid.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
-        seen: dict[str, str] = {}
-        for label, _ in grid.plots:
-            name = _safe_name(label)
-            if name in seen:
-                raise _DataError(f"plot labels {seen[name]!r} and {label!r} "
-                                 f"both map to mini_{name}.svg")
-            seen[name] = label
-        for label, svg in grid.plots:
-            _emit(cfg, f"mini_{_safe_name(label)}.svg", svg)
-        return 0
+def _cmd_plot_pca(matrix: PerformanceMatrix, cfg: RunConfig,
+                  ns: argparse.Namespace) -> int:
     projection = pca_project(matrix, k=2, imputation=cfg.pca_imputation)
     metric_values = None
-    spec = PlotSpec()
     if ns.color_by:
-        metric_values = _metric_values(matrix, projection.dataset_ids,
-                                       ns.color_by,
-                                       cfg.difficulty_orientation)
-        spec = PlotSpec(color_by=ns.color_by)
-    _emit(cfg, "pca_scatter.svg",
-          pca_scatter_svg(projection, metric_values, spec))
+        rows = metric_table(matrix, cfg.difficulty_orientation).rows
+        metric_values = [getattr(rows[matrix.dataset_index(d)], ns.color_by)
+                         for d in projection.dataset_ids]
+    _emit(cfg, "pca_scatter.svg", pca_scatter_svg(
+        projection, metric_values, PlotSpec(color_by=ns.color_by)))
     return 0
 
 
@@ -398,16 +392,6 @@ def _cmd_report(matrix: PerformanceMatrix, cfg: RunConfig,
     return 0
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "metrics": _cmd_metrics,
-    "select": _cmd_select,
-    "pca": _cmd_pca,
-    "plot": _cmd_plot,
-    "report": _cmd_report,
-}
-
-
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, run one subcommand, return the process exit code."""
     parser = _build_parser()
@@ -423,11 +407,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     _print_config(cfg)
     try:
         matrix = _load_matrix(cfg)
-        return _COMMANDS[ns.command](matrix, cfg, ns)
+        return ns.handler(matrix, cfg, ns)
     except _UserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (_DataError, ApsError) as exc:
+    except ApsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -20,6 +20,8 @@ from .core import (ApsError, EmptyRowError, PerformanceMatrix, Score,
                    build_matrix)
 
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
+INPUT_FORMATS = ("auto", "long", "wide")
+_LONG_HEADER = ["dataset", "algorithm", "score"]
 
 
 class MalformedHeaderError(ApsError):
@@ -58,21 +60,34 @@ def _parse_score(text: str, line_num: int) -> Score:
     return value
 
 
-def _reader(text: str) -> csv.reader:
-    if text.startswith("﻿"):
-        text = text[1:]
-    return csv.reader(io.StringIO(text, newline=""))
+def _reader(text: str) -> tuple[csv.reader, list[str] | None]:
+    """A CSV reader over ``text`` with one leading BOM dropped, and its
+    first row with each cell stripped (``None`` for empty text)."""
+    rdr = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+    header = next(rdr, None)
+    return rdr, header and [cell.strip() for cell in header]
+
+
+def parse_csv(text: str, fmt: str = "auto") -> PerformanceMatrix:
+    """Parse either shape; ``fmt="auto"`` reads the header as CSV and
+    picks long when it is ``dataset,algorithm,score``, else wide."""
+    if fmt == "auto":
+        fmt = "long" if _reader(text)[1] == _LONG_HEADER else "wide"
+    if fmt == "long":
+        return parse_long(text)
+    if fmt == "wide":
+        return parse_wide(text)
+    raise ValueError(f"unknown input format {fmt!r}")
 
 
 def parse_long(text: str) -> PerformanceMatrix:
     """Parse ``dataset,algorithm,score`` rows into a matrix.
 
-    Blank lines are skipped.  Header must match exactly; every data row
-    must have exactly three fields.
+    Blank lines are skipped.  Header cells must match once stripped;
+    every data row must have exactly three fields.
     """
-    rdr = _reader(text)
-    header = next(rdr, None)
-    if header != ["dataset", "algorithm", "score"]:
+    rdr, header = _reader(text)
+    if header != _LONG_HEADER:
         raise MalformedHeaderError(
             f"expected header dataset,algorithm,score, got {header!r}")
     records = []
@@ -96,12 +111,11 @@ def parse_wide(text: str) -> PerformanceMatrix:
     the algorithm columns (zero columns is allowed so degenerate matrices
     round-trip).  Every row must match the header width.
     """
-    rdr = _reader(text)
-    header = next(rdr, None)
-    if header is None or len(header) < 1 or header[0].strip() != "dataset":
+    rdr, header = _reader(text)
+    if not header or header[0] != "dataset":
         raise MalformedHeaderError(
             f"expected wide header starting with 'dataset', got {header!r}")
-    algorithms = [a.strip() for a in header[1:]]
+    algorithms = header[1:]
     records = []
     for row in rdr:
         if not row:
@@ -219,7 +233,7 @@ def load_thesis_metadata() -> list[tuple[str, int, int, int]]:
 
 __all__ = [
     "MalformedHeaderError", "MalformedRowError", "RaggedRowError",
-    "ValidationReport", "parse_long", "parse_wide", "write_long",
+    "ValidationReport", "parse_csv", "parse_long", "parse_wide", "write_long",
     "write_wide", "validate", "fixture_path",
     "load_thesis_matrix", "load_thesis_metric_columns", "load_thesis_metadata",
 ]

@@ -63,6 +63,11 @@ def variance(row: Sequence[Score]) -> float | None:
     return sum(gaps) / len(gaps)
 
 
+def _check_variant(variant: str) -> None:
+    if variant not in DIVERSITY_VARIANTS:
+        raise ValueError(f"unknown diversity variant {variant!r}")
+
+
 def _check_points(points: Sequence[Sequence[float]]) -> int:
     """Validation of a point set for :func:`diversity`; returns the
     dimensionality."""
@@ -128,8 +133,7 @@ def diversity(rows: Sequence[Sequence[float]], variant: str = "nth-root",
     the volume regardless of n instead.  Higher is more diverse; two
     coincident points score exactly 0.
     """
-    if variant not in DIVERSITY_VARIANTS:
-        raise ValueError(f"unknown diversity variant {variant!r}")
+    _check_variant(variant)
     n = _check_points(rows)
     dists, mu, var_d, ranges, vol, score = _evaluate(rows, n, variant)
     return DiversityBreakdown(

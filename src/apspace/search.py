@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import ApsError, PerformanceMatrix
-from .metrics import DimensionMismatchError, DiversityBreakdown, _evaluate, diversity
+from .metrics import (DimensionMismatchError, DiversityBreakdown, _check_variant,
+                      _evaluate, diversity)
 
 SEARCH_MODES = ("max", "min")
 
@@ -91,26 +92,6 @@ def score_selection(matrix: PerformanceMatrix, datasets: Sequence[str],
     return diversity(rows, variant=variant, datasets=names)
 
 
-def _eligible_points(matrix: PerformanceMatrix):
-    """The complete rows' names, sorted, and their points in that order."""
-    if matrix.n_algorithms < 2:
-        raise DimensionMismatchError(
-            "search needs at least 2 algorithm axes")
-    rows = sorted(np.flatnonzero(matrix.complete).tolist(),
-                  key=matrix.datasets.__getitem__)
-    if not rows:
-        raise NoCompleteRowsError("no complete rows to search over")
-    return [matrix.datasets[i] for i in rows], matrix.values[rows]
-
-
-def _check_size(size: int, n_eligible: int) -> None:
-    if size < 2:
-        raise InvalidSelectionError(f"subset size must be >= 2, got {size}")
-    if size > n_eligible:
-        raise SizeTooLargeError(
-            f"subset size {size} exceeds the {n_eligible} complete rows")
-
-
 def _keyed(idx, rows, n_axes, variant, sign):
     """Rank key ``(sign * score, idx)`` of one ascending tuple of indices
     into the sorted names, and its score.  Such tuples order exactly as
@@ -179,6 +160,29 @@ def _ranker(P, n_axes, variant, sign):
     return top
 
 
+def _prepare(matrix: PerformanceMatrix, size: int, mode: str, variant: str):
+    """Check a search's arguments; return the complete rows' names,
+    sorted, and the :func:`_ranker` over their points in that order."""
+    if mode not in SEARCH_MODES:
+        raise ValueError(f"unknown search mode {mode!r}")
+    _check_variant(variant)
+    if matrix.n_algorithms < 2:
+        raise DimensionMismatchError(
+            "search needs at least 2 algorithm axes")
+    rows = sorted(np.flatnonzero(matrix.complete).tolist(),
+                  key=matrix.datasets.__getitem__)
+    if not rows:
+        raise NoCompleteRowsError("no complete rows to search over")
+    if size < 2:
+        raise InvalidSelectionError(f"subset size must be >= 2, got {size}")
+    if size > len(rows):
+        raise SizeTooLargeError(
+            f"subset size {size} exceeds the {len(rows)} complete rows")
+    sign = -1.0 if mode == "max" else 1.0
+    return ([matrix.datasets[i] for i in rows],
+            _ranker(matrix.values[rows], matrix.n_algorithms, variant, sign))
+
+
 def exhaustive_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
                       top_k: int = 1,
                       variant: str = "nth-root") -> SearchResult:
@@ -187,14 +191,9 @@ def exhaustive_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
     ``mode="max"`` ranks high scores first, ``"min"`` low scores first;
     either way ties fall to the lexicographically smaller name tuple.
     """
-    if mode not in SEARCH_MODES:
-        raise ValueError(f"unknown search mode {mode!r}")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    names, P = _eligible_points(matrix)
-    _check_size(size, len(names))
-    sign = -1.0 if mode == "max" else 1.0
-    top_of = _ranker(P, matrix.n_algorithms, variant, sign)
+    names, top_of = _prepare(matrix, size, mode, variant)
     best = top_of(_index_batches(len(names), size), top_k)
     top = tuple(Selection(datasets=tuple(names[i] for i in idx), score=score,
                           rank=rank)
@@ -214,13 +213,8 @@ def greedy_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
     optimum in max mode.  Same determinism rules as the exhaustive
     search.
     """
-    if mode not in SEARCH_MODES:
-        raise ValueError(f"unknown search mode {mode!r}")
-    names, P = _eligible_points(matrix)
-    _check_size(size, len(names))
+    names, top_of = _prepare(matrix, size, mode, variant)
     n = len(names)
-    top_of = _ranker(P, matrix.n_algorithms, variant,
-                     -1.0 if mode == "max" else 1.0)
     [((_, subset), score)] = top_of(_index_batches(n, 2), 1)
     evaluated = math.comb(n, 2)
     while len(subset) < size:

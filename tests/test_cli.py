@@ -76,6 +76,23 @@ def test_select_greedy_strategy(outdir):
     assert "Jester" in lines[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["plot", "mini", "--color-by", "variance"],
+    ["plot", "pca", "--ordered"],
+    ["select", "--size", "2..3", "--strategy", "greedy", "--top", "3"],
+], ids=["mini-color-by", "pca-ordered", "greedy-top"])
+def test_flag_the_command_cannot_honour_is_a_usage_error(tmp_path, argv):
+    out = tmp_path / "out"
+    assert run([*argv, "-i", FIXTURE, "-o", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_select_greedy_top_one_is_accepted(outdir):
+    assert run(["select", "--size", "2..3", "--strategy", "greedy",
+                "--top", "1", "-i", FIXTURE, "-o", str(outdir)]) == 0
+    assert len(read(outdir / "selections.csv").splitlines()) == 3
+
+
 def test_select_row_order_determinism(tmp_path):
     """Identical bytes from the fixture rows as given and reversed."""
     header, *rows = read(Path(FIXTURE)).splitlines()
@@ -247,12 +264,28 @@ def test_bad_choice_fails_as_flag_and_in_config(tmp_path, capsys, key, flag,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_auto_format_detects_long(tmp_path):
+# Auto-detection reads the header as CSV, with the cells stripped as the
+# parsers strip them, so every spelling the long parser accepts is long.
+@pytest.mark.parametrize("header", [
+    "dataset,algorithm,score\n",
+    '"dataset","algorithm","score"\n',
+    "dataset , algorithm,score \n",
+    "dataset,algorithm,score\r\n",
+    "\ufeffdataset,algorithm,score\n",
+], ids=["plain", "quoted", "spaced", "crlf", "bom"])
+def test_auto_format_detects_long(tmp_path, capsys, header):
     src = tmp_path / "long.csv"
-    src.write_text(write_long(load_thesis_matrix()), encoding="utf-8")
+    body = write_long(load_thesis_matrix()).split("\n", 1)[1]
+    src.write_text(header + body, encoding="utf-8")
     out = tmp_path / "out"
     assert run(["metrics", "-i", str(src), "-o", str(out)]) == 0
     assert "Jester,0.5163,0.0193,5" in read(out / "metrics.csv")
+    capsys.readouterr()
+    assert run(["validate", "-i", str(src)]) == 0
+    auto = capsys.readouterr().out
+    assert run(["validate", "-i", str(src), "--format", "long"]) == 0
+    assert capsys.readouterr().out == auto
+    assert auto.startswith("datasets: 71\nalgorithms: 5\n")
 
 
 def test_auto_format_needs_exact_long_header(tmp_path, capsys):
@@ -383,3 +416,10 @@ def test_help_exits_zero(capsys):
     assert "--input INPUT, -i INPUT" in out
     assert "--output-dir OUTPUT_DIR, -o OUTPUT_DIR" in out
     assert run(["select", "--help"]) == 0
+    # each plot kind lists only its own flag
+    for kind, own, other in (("mini", "--ordered", "--color-by"),
+                             ("pca", "--color-by", "--ordered")):
+        capsys.readouterr()
+        assert run(["plot", kind, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert own in out and other not in out

@@ -8,8 +8,8 @@ from apspace.core import (DuplicateCellError, EmptyRowError,
                           ScoreOutOfRangeError, build_matrix)
 from apspace.ingest import (MalformedHeaderError, MalformedRowError,
                             RaggedRowError, fixture_path,
-                            load_thesis_metadata, parse_long, parse_wide,
-                            validate, write_long, write_wide)
+                            load_thesis_metadata, parse_csv, parse_long,
+                            parse_wide, validate, write_long, write_wide)
 
 LONG_SAMPLE = "dataset,algorithm,score\nJester,MultiVAE,0.5023\n"
 
@@ -50,6 +50,12 @@ def test_parse_long_unparsable_score(cell):
 def test_parse_long_out_of_range_score():
     with pytest.raises(ScoreOutOfRangeError):
         parse_long("dataset,algorithm,score\nd,a,1.5\n")
+
+
+def test_parse_csv_rejects_unknown_format():
+    with pytest.raises(ValueError) as info:
+        parse_csv(LONG_SAMPLE, "csv")
+    assert str(info.value) == "unknown input format 'csv'"
 
 
 def test_parse_wide_basic():

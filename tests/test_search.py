@@ -201,6 +201,14 @@ def test_greedy_errors():
         greedy_search(m, 2, mode="best")
 
 
+@pytest.mark.parametrize("search", [exhaustive_search, greedy_search])
+def test_searches_reject_unknown_variant(fixture_matrix, search):
+    # no silent fallback to the nth-root score
+    with pytest.raises(ValueError) as info:
+        search(fixture_matrix, 2, variant="bogus")
+    assert str(info.value) == "unknown diversity variant 'bogus'"
+
+
 # ------------------------------------- batched search vs scalar reference
 
 @st.composite
