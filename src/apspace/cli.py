@@ -80,6 +80,17 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that reports an unknown argument itself, so the usage
+    printed is that of the subcommand that was given it."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return ns, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("common options")
@@ -99,15 +110,15 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--config", default=argparse.SUPPRESS,
                    help="file of key = value lines mirroring these options")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aps", parents=[common],
         description="Analyze an algorithm-performance matrix: per-dataset "
                     "metrics, diverse-subset search, PCA, and SVG plots.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(parent, name, handler, summary):
+    def command(parent, name, handler, summary, check=None):
         p = parent.add_parser(name, parents=[common], help=summary)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, check=check)
         return p
 
     command(sub, "validate", _cmd_validate,
@@ -116,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "write per-dataset difficulty/variance to metrics.csv")
     p_sel = command(sub, "select", _cmd_select,
                     "search dataset subsets by diversity; "
-                    "writes selections.csv")
+                    "writes selections.csv", _check_select)
     p_sel.add_argument("--size", required=True,
                        help="subset size or range, e.g. 3 or 2..4")
     p_sel.add_argument("--mode", choices=SEARCH_MODES, default="max")
@@ -125,8 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--strategy", choices=("exhaustive", "greedy"),
                        default="exhaustive")
     command(sub, "pca", _cmd_pca,
-            "project datasets onto principal components; writes pca.csv"
-            ).add_argument("--components", type=int, default=2)
+            "project datasets onto principal components; writes pca.csv",
+            _check_pca).add_argument("--components", type=int, default=2)
     plot = sub.add_parser("plot", parents=[common],
                           help="write SVG scatter plots"
                           ).add_subparsers(dest="kind", required=True)
@@ -254,16 +265,20 @@ def _parse_size_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _cmd_select(matrix: PerformanceMatrix, cfg: RunConfig,
-                ns: argparse.Namespace) -> int:
+def _check_select(ns: argparse.Namespace) -> None:
     lo, hi = _parse_size_range(ns.size)
     if ns.top < 1:
         raise _UserError(f"--top must be >= 1, got {ns.top}")
     if ns.strategy == "greedy" and ns.top != 1:
         raise _UserError(f"--top {ns.top} needs --strategy exhaustive; "
                          "greedy builds one subset per size")
+    ns.sizes = range(lo, hi + 1)
+
+
+def _cmd_select(matrix: PerformanceMatrix, cfg: RunConfig,
+                ns: argparse.Namespace) -> int:
     rows = []
-    for size in range(lo, hi + 1):
+    for size in ns.sizes:
         if ns.strategy == "greedy":
             result = greedy_search(matrix, size, mode=ns.mode,
                                    variant=cfg.diversity_variant)
@@ -279,11 +294,14 @@ def _cmd_select(matrix: PerformanceMatrix, cfg: RunConfig,
     return 0
 
 
-def _cmd_pca(matrix: PerformanceMatrix, cfg: RunConfig,
-             ns: argparse.Namespace) -> int:
+def _check_pca(ns: argparse.Namespace) -> None:
     # a count above the algorithm count depends on the data: exit 2 there
     if ns.components < 1:
         raise _UserError(f"--components must be >= 1, got {ns.components}")
+
+
+def _cmd_pca(matrix: PerformanceMatrix, cfg: RunConfig,
+             ns: argparse.Namespace) -> int:
     projection = pca_project(matrix, k=ns.components,
                              imputation=cfg.pca_imputation)
     k = projection.coordinates.shape[1]
@@ -406,6 +424,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 1
     _print_config(cfg)
     try:
+        if ns.check:  # flag checks come before the input is read
+            ns.check(ns)
         matrix = _load_matrix(cfg)
         return ns.handler(matrix, cfg, ns)
     except _UserError as exc:

@@ -10,8 +10,9 @@ makes every search fully deterministic: candidates are ranked by the key
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, repeat
 from typing import Sequence
 
 import numpy as np
@@ -22,10 +23,11 @@ from .metrics import (DimensionMismatchError, DiversityBreakdown, _check_variant
 
 SEARCH_MODES = ("max", "min")
 
-# Candidates scored per numpy batch: bounds the search's working memory.
+# Candidates per prefix block, at least one prefix: bounds the search's
+# working memory.
 _BATCH = 1024
-# Far above the ~1e-15 gap between batched and scalar scores: a candidate
-# whose batched key is within this of the cut-off is re-scored exactly.
+# Far above the ~1e-15 gap between block and scalar keys: a candidate
+# whose block key is within this of the cut-off is re-scored exactly.
 _TIE_TOL = 1e-9
 
 
@@ -100,60 +102,96 @@ def _keyed(idx, rows, n_axes, variant, sign):
     return (sign * score, idx), score
 
 
-def _index_batches(n, size):
-    """Every ``combinations(range(n), size)``, in order, as ``B x size``
-    arrays of at most ``_BATCH`` rows; never all of them at once."""
-    combos = combinations(range(n), size)
-    while True:
-        flat = np.fromiter(chain.from_iterable(islice(combos, _BATCH)),
-                           dtype=np.intp)
-        if not flat.size:
-            return
-        yield flat.reshape(-1, size)
+def _prefix_blocks(n, size):
+    """Every ``combinations(range(n), size)``, in blocks ``(pre, start,
+    skip)`` of at most ``_BATCH`` pairs ``(b, j)``, or one prefix:
+    ``pre[b] + (j,)`` for ``j >= start`` is a candidate unless ``skip[b,
+    j - start]``.  Prefixes come in colex order (by last index, then
+    lexicographic), so a block spans one or a few last indices."""
+    ends = range(size - 2, n - 1)
+    heads = chain.from_iterable(combinations(range(last), size - 2)
+                                for last in ends)
+    lasts = chain.from_iterable(repeat(last, math.comb(last, size - 2))
+                                for last in ends)
+    for first in lasts:
+        count = max(1, _BATCH // (n - 1 - first))
+        last = np.fromiter(chain((first,), islice(lasts, count - 1)),
+                           np.intp)
+        head = np.fromiter(chain.from_iterable(islice(heads, len(last))),
+                           np.intp).reshape(len(last), size - 2)
+        yield (np.column_stack([head, last]), first + 1,
+               np.arange(first + 1, n) <= last[:, None])
+
+
+def _block_keyer(P, n_axes, variant, sign):
+    """Return ``keys(pre, start)``: the ``B x (n - start)`` keys ``sign *
+    score`` of every ``pre[b] + (j,)`` with ``j >= start``, by the formula
+    of ``metrics._evaluate`` over the points ``P``.  Each prefix's
+    bounding box and its sums ``S1``/``S2`` of distances and squared
+    distances are computed once for all its extensions; the distance
+    variance is ``S2/m - (S1/m)**2``, clipped at 0."""
+    D = np.zeros((len(P), len(P)))
+    for col in P.T:  # one n x n temporary per axis, not n x n x axes
+        D += (col[:, None] - col[None, :]) ** 2
+    np.sqrt(D, out=D)
+    PT = P.T.copy()
+
+    def keys(pre, start):
+        cols = pre.T
+        m = math.comb(len(cols) + 1, 2)
+        inner = D[cols[:, None], cols]  # each prefix pair twice
+        outer = D[cols, start:]
+        s1 = inner.sum(axis=(0, 1))[:, None] / 2 + outer.sum(axis=0)
+        outer *= outer
+        s2 = (inner * inner).sum(axis=(0, 1))[:, None] / 2 + outer.sum(axis=0)
+        var_d = np.maximum(s2 / m - (s1 / m) ** 2, 0.0)
+        box = PT[:, cols]
+        ends = PT[:, None, start:]
+        span = np.maximum(box.max(axis=1)[..., None], ends)
+        span -= np.minimum(box.min(axis=1)[..., None], ends)
+        vol = span.prod(axis=0)
+        coverage = (np.sqrt(vol) if variant == "literal-sqrt"
+                    else vol ** (1.0 / n_axes))
+        return sign * (1.0 - var_d / (n_axes / 4.0)) * coverage
+
+    return keys
 
 
 def _ranker(P, n_axes, variant, sign):
-    """Return ``top(batches, top_k)``: the ``top_k`` smallest ``(key,
-    score)`` of :func:`_keyed` over every row of ``batches``, ``B x k``
-    arrays of indices into ``P``, the points of the sorted names.
+    """Return ``top(blocks, top_k)``: the ``top_k`` smallest ``(key,
+    score)`` of :func:`_keyed` over every candidate of ``blocks``, as
+    :func:`_prefix_blocks` gives them, over ``P``, the points of the
+    sorted names.
 
-    Rows are scored with numpy, the formula of ``metrics._evaluate`` over
-    a distance matrix computed once.  numpy reduces in another order, so
-    those scores can differ from the scalar ones in the last bits.  A row
-    whose batched key lies more than ``_TIE_TOL`` above a cut-off (the
-    ``top_k``-th batched key of its batch, or the worst exact key kept so
-    far) is beaten outright by ``top_k`` others; every other row is
+    :func:`_block_keyer` sums in another order than the scalar code, so
+    its keys can differ from the scalar ones in the last bits.  A
+    candidate whose key lies more than ``_TIE_TOL`` above a cut-off (the
+    ``top_k``-th key of its block, or the worst exact key kept so far)
+    is beaten outright by ``top_k`` others; every other candidate is
     re-scored by :func:`_keyed` and merged in ``(sign * score, names)``
     order, so scores, ties and near-ties come out exactly as the scalar
     search gives them.
     """
     rows = P.tolist()
-    D = np.zeros((len(P), len(P)))
-    for col in P.T:  # one n x n temporary per axis, not n x n x axes
-        D += (col[:, None] - col[None, :]) ** 2
-    np.sqrt(D, out=D)
+    keys_of = _block_keyer(P, n_axes, variant, sign)
 
-    def batch_keys(idx):
-        i, j = np.triu_indices(idx.shape[1], 1)
-        var_d = D[idx[:, i], idx[:, j]].var(axis=1)
-        rows = P[idx]
-        vol = (rows.max(axis=1) - rows.min(axis=1)).prod(axis=1)
-        coverage = (np.sqrt(vol) if variant == "literal-sqrt"
-                    else vol ** (1.0 / n_axes))
-        return sign * (1.0 - var_d / (n_axes / 4.0)) * coverage
-
-    def top(batches, top_k):
+    def top(blocks, top_k):
         best = []
-        for idx in batches:
-            keys = batch_keys(idx)
-            cut = (np.partition(keys, top_k - 1)[top_k - 1]
-                   if len(keys) > top_k else math.inf)
+        for pre, start, skip in blocks:
+            keys = keys_of(pre, start)
+            keys[skip] = math.inf
+            cut = (np.partition(keys, top_k - 1, axis=None)[top_k - 1]
+                   if keys.size > top_k else math.inf)
             if len(best) == top_k:
                 cut = min(cut, best[-1][0][0])
-            near = idx[keys <= cut + _TIE_TOL].tolist()
+            # real keys are finite, skipped ones are not
+            bound = min(cut + _TIE_TOL, sys.float_info.max)
+            b, w = np.nonzero(keys <= bound)
             best = heapq.nsmallest(
-                top_k, best + [_keyed(tuple(row), rows, n_axes, variant, sign)
-                               for row in near],
+                top_k, best + [
+                    _keyed(tuple(sorted((*head, start + tail))), rows,
+                           n_axes, variant, sign)
+                    for head, tail in zip(pre[b].tolist(), w.tolist())],
                 key=lambda item: item[0])
         return best
 
@@ -194,7 +232,7 @@ def exhaustive_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     names, top_of = _prepare(matrix, size, mode, variant)
-    best = top_of(_index_batches(len(names), size), top_k)
+    best = top_of(_prefix_blocks(len(names), size), top_k)
     top = tuple(Selection(datasets=tuple(names[i] for i in idx), score=score,
                           rank=rank)
                 for rank, ((_, idx), score) in enumerate(best, 1))
@@ -215,13 +253,12 @@ def greedy_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
     """
     names, top_of = _prepare(matrix, size, mode, variant)
     n = len(names)
-    [((_, subset), score)] = top_of(_index_batches(n, 2), 1)
+    [((_, subset), score)] = top_of(_prefix_blocks(n, 2), 1)
     evaluated = math.comb(n, 2)
     while len(subset) < size:
-        rest = [i for i in range(n) if i not in subset]
-        batch = np.sort(np.array([subset + (i,) for i in rest]), axis=1)
-        [((_, subset), score)] = top_of([batch], 1)
-        evaluated += len(rest)
+        evaluated += n - len(subset)
+        skip = np.isin(np.arange(n), subset)[None]
+        [((_, subset), score)] = top_of([(np.array([subset]), 0, skip)], 1)
     top = (Selection(datasets=tuple(names[i] for i in subset), score=score,
                      rank=1),)
     return SearchResult(mode=mode, size=size, variant=variant,

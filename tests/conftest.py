@@ -1,8 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from apspace.core import PerformanceMatrix, Score, build_matrix
 from apspace.ingest import load_thesis_matrix, load_thesis_metric_columns
+
+# HYPOTHESIS_PROFILE=ci runs the property referees on more examples.
+settings.register_profile("ci", max_examples=400, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -76,15 +76,34 @@ def test_select_greedy_strategy(outdir):
     assert "Jester" in lines[1]
 
 
-@pytest.mark.parametrize("argv", [
-    ["plot", "mini", "--color-by", "variance"],
-    ["plot", "pca", "--ordered"],
-    ["select", "--size", "2..3", "--strategy", "greedy", "--top", "3"],
+@pytest.mark.parametrize("argv, first_line", [
+    (["plot", "mini", "--color-by", "variance"], "usage: aps plot mini "),
+    (["plot", "pca", "--ordered"], "usage: aps plot pca "),
+    (["select", "--size", "2..3", "--strategy", "greedy", "--top", "3"],
+     "config: "),
 ], ids=["mini-color-by", "pca-ordered", "greedy-top"])
-def test_flag_the_command_cannot_honour_is_a_usage_error(tmp_path, argv):
+def test_flag_the_command_cannot_honour_is_a_usage_error(tmp_path, capsys,
+                                                         argv, first_line):
     out = tmp_path / "out"
     assert run([*argv, "-i", FIXTURE, "-o", str(out)]) == 1
     assert not out.exists()
+    # an unknown flag gets the usage of the command it was given to
+    assert capsys.readouterr().err.startswith(first_line)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["select", "--size", "nope"], "bad --size 'nope'; expected N or A..B"),
+    (["select", "--size", "3..2"], "bad --size '3..2'; need 2 <= A <= B"),
+    (["select", "--size", "2", "--top", "0"], "--top must be >= 1, got 0"),
+    (["select", "--size", "2", "--strategy", "greedy", "--top", "2"],
+     "--top 2 needs --strategy exhaustive; greedy builds one subset per size"),
+    (["pca", "--components", "0"], "--components must be >= 1, got 0"),
+], ids=["size-text", "size-range", "top", "greedy-top", "components"])
+def test_flag_errors_come_before_reading_input(tmp_path, capsys, argv,
+                                               message):
+    missing = tmp_path / "missing.csv"
+    assert run([*argv, "-i", str(missing), "-o", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
 
 def test_select_greedy_top_one_is_accepted(outdir):

@@ -4,6 +4,7 @@ from functools import partial
 from itertools import combinations
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import make_matrix, random_matrix
 from apspace import search
 from apspace.core import UnknownDatasetError, build_matrix
-from apspace.metrics import DimensionMismatchError
+from apspace.metrics import DimensionMismatchError, _evaluate
 from apspace.search import (IncompleteDatasetError, InvalidSelectionError,
                             NoCompleteRowsError, SizeTooLargeError,
                             exhaustive_search, greedy_search, score_selection)
@@ -285,6 +286,64 @@ def test_greedy_matches_scalar_reference(matrix, data):
             assert (res.best.datasets, res.best.score,
                     res.candidates_evaluated) == _scalar_greedy(
                         matrix, size, mode, variant)
+
+
+@st.composite
+def float_matrices(draw):
+    """Small matrices of arbitrary scores in [0, 1]."""
+    n_axes = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.lists(st.floats(0, 1), min_size=n_axes,
+                                  max_size=n_axes),
+                         min_size=2, max_size=10))
+    return make_matrix({f"d{i:02d}": row for i, row in enumerate(rows)})
+
+
+@settings(deadline=None)
+@given(matrix=st.one_of(tied_matrices(), float_matrices()), data=st.data(),
+       batch=st.sampled_from([1, 5, search._BATCH]))
+def test_block_keys_match_scalar_scores(matrix, data, batch):
+    """Every candidate key of the prefix kernel is within 1e-12 of the
+    scalar score, far inside the re-scoring band ``_TIE_TOL``: over the
+    exhaustive blocks, which hold each subset exactly once, and over a
+    greedy block, whose extensions also lie below its prefix."""
+    names = _complete_names(matrix)
+    P = matrix.values[[matrix.dataset_index(d) for d in names]]
+    n, n_axes = P.shape
+    size = data.draw(st.integers(2, min(6, n)))
+    subset = sorted(data.draw(st.lists(st.integers(0, n - 1), unique=True,
+                                       min_size=size - 1,
+                                       max_size=size - 1)))
+    with mock.patch.object(search, "_BATCH", batch):
+        blocks = list(search._prefix_blocks(n, size))
+    greedy = (np.array([subset]), 0, np.isin(np.arange(n), subset)[None])
+    for sign in (-1.0, 1.0):
+        for variant in ("nth-root", "literal-sqrt"):
+            keys_of = search._block_keyer(P, n_axes, variant, sign)
+            seen = []
+            for pre, start, skip in [greedy, *blocks]:
+                keys = keys_of(pre, start)
+                for b, w in zip(*np.nonzero(~skip)):
+                    idx = tuple(sorted([*pre[b].tolist(), start + int(w)]))
+                    want = _evaluate(P[list(idx)].tolist(), n_axes,
+                                     variant)[5]
+                    assert abs(keys[b, w] - sign * want) <= 1e-12
+                    seen.append(idx)
+            # after the greedy block's candidates, every subset once
+            assert sorted(seen[n - size + 1:]) == list(
+                combinations(range(n), size))
+
+
+@pytest.mark.parametrize("batch", [search._BATCH, 7])
+def test_exhaustive_matches_scalar_reference_on_corpus(fixture_matrix,
+                                                       batch):
+    """All 9,139 triples of the 39 complete corpus rows against the
+    scalar brute force; with 7, blocks split inside one last index and
+    span several."""
+    want = _scalar_exhaustive(fixture_matrix, 3, "min", "nth-root", 3)
+    with mock.patch.object(search, "_BATCH", batch):
+        res = exhaustive_search(fixture_matrix, 3, "min", top_k=3)
+    assert res.candidates_evaluated == 9139
+    assert [(s.datasets, s.score) for s in res.top] == want
 
 
 def test_exhaustive_ties_merge_across_batches():
