@@ -1,8 +1,9 @@
 """Subset search: which k datasets jointly cover the space best (or worst).
 
 Candidates are always drawn from the complete rows only — a dataset with
-a gap has no position in the full space — and are enumerated over the
-*sorted* dataset names so results cannot depend on input row order.
+a gap has no position in the full space — and are keyed by the *sorted*
+dataset names, in whatever order they are enumerated, so results cannot
+depend on input row order.
 Ties are broken toward the lexicographically smallest name tuple, which
 makes every search fully deterministic: candidates are ranked by the key
 (sign * score, names), a total order.
@@ -12,6 +13,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations, islice, repeat
 from typing import Sequence
 
@@ -157,11 +159,89 @@ def _block_keyer(P, n_axes, variant, sign):
     return keys
 
 
-def _ranker(P, n_axes, variant, sign):
+def _bounded_blocks(Q, size, variant, cut):
+    """Blocks, as :func:`_prefix_blocks` gives them, of the size-subsets
+    of the rows of ``Q`` that the max-mode bound cannot rule out.
+
+    The factor ``1 - Var(D)/(n/4)`` of a score lies in [0, 1], so a
+    subset scores at most the coverage of its bounding box.  Every
+    completion of a prefix, whose other members come after the prefix's
+    last row, therefore scores at most the coverage of the box of the
+    prefix and all those rows.  A prefix, at any depth, whose bound key
+    ``-coverage`` lies more than ``_TIE_TOL`` above ``cut()``, the
+    running cut-off key, is dropped with all its completions.
+
+    Prefixes grow depth-first, at most ``_BATCH // n`` at a time.  Those
+    of ``size - 1`` rows gather until there are that many, then go out
+    by last row in blocks of about ``_BATCH`` candidates.  So working
+    memory does not grow with the number of candidates."""
+    n, n_axes = Q.shape
+    tail_lo = np.minimum.accumulate(Q[::-1])[::-1]  # box of rows j..n-1
+    tail_hi = np.maximum.accumulate(Q[::-1])[::-1]
+    width = max(1, _BATCH // n)
+    leaves = []  # (prefixes, bound keys) of size - 1 rows, not yet out
+
+    def flush():
+        pre, bound = (np.concatenate(part) for part in zip(*leaves))
+        leaves.clear()
+        by_last = np.argsort(pre[:, -1], kind="stable")
+        pre, bound = pre[by_last], bound[by_last]
+        at = 0
+        while at < len(pre):
+            stop = at + max(1, _BATCH // (n - 1 - pre[at, -1]))
+            part = pre[at:stop][bound[at:stop] <= cut() + _TIE_TOL]
+            at = stop
+            if len(part):
+                start = part[0, -1] + 1
+                yield part, start, np.arange(start, n) <= part[:, -1:]
+
+    def grow(pre, lo, hi):
+        depth = pre.shape[1]
+        last = pre[:, -1] if depth else np.full(1, -1)
+        j = np.arange(last.min() + 1, n - size + depth + 1)
+        vol = (np.maximum(hi[:, None], tail_hi[j])
+               - np.minimum(lo[:, None], tail_lo[j])).prod(axis=2)
+        bound = -(np.sqrt(vol) if variant == "literal-sqrt"
+                  else vol ** (1.0 / n_axes))
+        b, w = np.nonzero((j > last[:, None]) & (bound <= cut() + _TIE_TOL))
+        pre, bound = np.column_stack([pre[b], j[w]]), bound[b, w]
+        if depth + 2 == size:
+            leaves.append((pre, bound))
+            if sum(len(part) for part, _ in leaves) >= width:
+                yield from flush()
+            return
+        row = Q[j[w]]
+        lo, hi = np.minimum(lo[b], row), np.maximum(hi[b], row)
+        for at in range(0, len(pre), width):
+            keep = bound[at:at + width] <= cut() + _TIE_TOL
+            if keep.any():
+                yield from grow(pre[at:at + width][keep],
+                                lo[at:at + width][keep],
+                                hi[at:at + width][keep])
+
+    yield from grow(np.empty((1, 0), np.intp), np.full((1, n_axes), np.inf),
+                    np.full((1, n_axes), -np.inf))
+    if leaves:
+        yield from flush()
+
+
+def _far_first(P):
+    """Row order for :func:`_bounded_blocks`: farthest from the centroid
+    first (squared distances, summed per row without BLAS; stable), so
+    the first blocks hold extreme points and tail boxes shrink fast."""
+    return np.argsort(-((P - P.mean(axis=0)) ** 2).sum(axis=1),
+                      kind="stable")
+
+
+def _ranker(P, n_axes, variant, sign, order=None):
     """Return ``top(blocks, top_k)``: the ``top_k`` smallest ``(key,
     score)`` of :func:`_keyed` over every candidate of ``blocks``, as
     :func:`_prefix_blocks` gives them, over ``P``, the points of the
-    sorted names.
+    sorted names.  With ``order``, blocks index the rows of
+    ``P[order]``, and each candidate is mapped back to ranks in the
+    sorted names.  ``blocks`` may also be a function of ``cut()``, the
+    running cut-off key (``math.inf`` until ``top_k`` are kept), that
+    returns the blocks.
 
     :func:`_block_keyer` sums in another order than the scalar code, so
     its keys can differ from the scalar ones in the last bits.  A
@@ -170,28 +250,41 @@ def _ranker(P, n_axes, variant, sign):
     is beaten outright by ``top_k`` others; every other candidate is
     re-scored by :func:`_keyed` and merged in ``(sign * score, names)``
     order, so scores, ties and near-ties come out exactly as the scalar
-    search gives them.
+    search gives them.  A candidate whose box is flat on some axis needs
+    no re-score: its coverage is exactly 0, and its factor is positive
+    (its distances are at most ``sqrt(n_axes - 1)``), so it scores 0.0.
     """
     rows = P.tolist()
-    keys_of = _block_keyer(P, n_axes, variant, sign)
+    rank = np.arange(len(P)) if order is None else order
+    keys_of = _block_keyer(P[rank], n_axes, variant, sign)
 
     def top(blocks, top_k):
         best = []
+
+        def worst():
+            return best[-1][0][0] if len(best) == top_k else math.inf
+
+        if callable(blocks):
+            blocks = blocks(worst)
         for pre, start, skip in blocks:
             keys = keys_of(pre, start)
             keys[skip] = math.inf
-            cut = (np.partition(keys, top_k - 1, axis=None)[top_k - 1]
-                   if keys.size > top_k else math.inf)
-            if len(best) == top_k:
-                cut = min(cut, best[-1][0][0])
+            cut = worst()
+            if keys.size > top_k:
+                cut = min(cut, np.partition(keys, top_k - 1,
+                                            axis=None)[top_k - 1])
             # real keys are finite, skipped ones are not
             bound = min(cut + _TIE_TOL, sys.float_info.max)
             b, w = np.nonzero(keys <= bound)
-            best = heapq.nsmallest(
-                top_k, best + [
-                    _keyed(tuple(sorted((*head, start + tail))), rows,
-                           n_axes, variant, sign)
-                    for head, tail in zip(pre[b].tolist(), w.tolist())],
+            if not len(b):
+                continue
+            idx = np.sort(rank[np.column_stack([pre[b], start + w])], axis=1)
+            box = P[idx]
+            flat = (box.max(axis=1) == box.min(axis=1)).any(axis=1)
+            best = heapq.nsmallest(top_k, best + [
+                ((sign * 0.0, tuple(i)), 0.0) if zero
+                else _keyed(tuple(i), rows, n_axes, variant, sign)
+                for i, zero in zip(idx.tolist(), flat.tolist())],
                 key=lambda item: item[0])
         return best
 
@@ -200,7 +293,8 @@ def _ranker(P, n_axes, variant, sign):
 
 def _prepare(matrix: PerformanceMatrix, size: int, mode: str, variant: str):
     """Check a search's arguments; return the complete rows' names,
-    sorted, and the :func:`_ranker` over their points in that order."""
+    sorted, their points in that order, and :func:`_ranker` over those
+    points as a function of its ``order``."""
     if mode not in SEARCH_MODES:
         raise ValueError(f"unknown search mode {mode!r}")
     _check_variant(variant)
@@ -217,22 +311,34 @@ def _prepare(matrix: PerformanceMatrix, size: int, mode: str, variant: str):
         raise SizeTooLargeError(
             f"subset size {size} exceeds the {len(rows)} complete rows")
     sign = -1.0 if mode == "max" else 1.0
-    return ([matrix.datasets[i] for i in rows],
-            _ranker(matrix.values[rows], matrix.n_algorithms, variant, sign))
+    points = matrix.values[rows]
+    return ([matrix.datasets[i] for i in rows], points,
+            partial(_ranker, points, matrix.n_algorithms, variant, sign))
 
 
 def exhaustive_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
                       top_k: int = 1,
                       variant: str = "nth-root") -> SearchResult:
-    """Score every size-subset of the complete rows; return the top k.
+    """The top k size-subsets of the complete rows, exactly.
 
     ``mode="max"`` ranks high scores first, ``"min"`` low scores first;
     either way ties fall to the lexicographically smaller name tuple.
+    Min mode scores every subset.  Max mode, for subsets of at most
+    half the rows, enumerates the rows farthest from the centroid first
+    and skips every subset that the coverage bound of
+    :func:`_bounded_blocks` rules out.  Larger subsets are scored in
+    full: their prefix tree holds more nodes than there are candidates.
+    ``candidates_evaluated`` is C(n, k) either way.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    names, top_of = _prepare(matrix, size, mode, variant)
-    best = top_of(_prefix_blocks(len(names), size), top_k)
+    names, points, ranker = _prepare(matrix, size, mode, variant)
+    if mode == "max" and 2 * size <= len(names):
+        order = _far_first(points)
+        best = ranker(order)(
+            partial(_bounded_blocks, points[order], size, variant), top_k)
+    else:
+        best = ranker()(_prefix_blocks(len(names), size), top_k)
     top = tuple(Selection(datasets=tuple(names[i] for i in idx), score=score,
                           rank=rank)
                 for rank, ((_, idx), score) in enumerate(best, 1))
@@ -251,7 +357,8 @@ def greedy_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
     optimum in max mode.  Same determinism rules as the exhaustive
     search.
     """
-    names, top_of = _prepare(matrix, size, mode, variant)
+    names, _, ranker = _prepare(matrix, size, mode, variant)
+    top_of = ranker()
     n = len(names)
     [((_, subset), score)] = top_of(_prefix_blocks(n, 2), 1)
     evaluated = math.comb(n, 2)

@@ -5,12 +5,16 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import apspace
 from apspace.cli import RunConfig, run
 from apspace.ingest import fixture_path, write_long, load_thesis_matrix
+from apspace.metrics import metric_table
+from apspace.pca import pca_project
+from apspace.viz import PlotSpec, pca_scatter_svg
 
 FIXTURE = str(fixture_path("thesis_scores.csv"))
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -169,6 +173,25 @@ def test_plot_pca_with_coloring(outdir):
     svg = read(outdir / "pca_scatter.svg")
     assert svg.count("<circle") == 71
     assert "difficulty" in svg
+
+
+@pytest.mark.parametrize("color_by", ["difficulty", "variance"])
+def test_plot_pca_colors_match_metric_table(outdir, color_by):
+    """Each point takes its metric_table value under the configured
+    orientation, without the whole table being built."""
+    matrix = load_thesis_matrix()
+    table = metric_table(matrix, "raw-mean")
+    projection = pca_project(matrix, k=2, imputation="zero-fill")
+    want = pca_scatter_svg(
+        projection, [getattr(table.row(d), color_by)
+                     for d in projection.dataset_ids],
+        PlotSpec(color_by=color_by))
+    with mock.patch("apspace.cli.metric_table", side_effect=AssertionError):
+        assert run(["plot", "pca", "--color-by", color_by,
+                    "--difficulty-orientation", "raw-mean",
+                    "--pca-imputation", "zero-fill",
+                    "-i", FIXTURE, "-o", str(outdir)]) == 0
+    assert read(outdir / "pca_scatter.svg") == want
 
 
 def test_report_header_only_input(tmp_path, outdir):

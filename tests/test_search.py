@@ -213,16 +213,19 @@ def test_searches_reject_unknown_variant(fixture_matrix, search):
 # ------------------------------------- batched search vs scalar reference
 
 @st.composite
-def tied_matrices(draw):
+def tied_matrices(draw, drawn=(2, 7), copies=(0, 3)):
     """Small matrices with 1-2 decimal scores and duplicated rows, so
-    exact ties occur; dataset names are not in sorted row order."""
+    exact ties occur; dataset names are not in sorted row order.  The
+    ``drawn`` and ``copies`` ranges bound how many rows are drawn and
+    how many copies of them are added."""
     n_axes = draw(st.integers(2, 4))
     value = st.one_of(st.integers(0, 10).map(lambda v: v / 10),
                       st.integers(0, 100).map(lambda v: v / 100))
     rows = draw(st.lists(st.lists(value, min_size=n_axes, max_size=n_axes),
-                         min_size=2, max_size=7))
+                         min_size=drawn[0], max_size=drawn[1]))
     rows += [rows[i] for i in draw(st.lists(
-        st.integers(0, len(rows) - 1), max_size=3))]
+        st.integers(0, len(rows) - 1), min_size=copies[0],
+        max_size=copies[1]))]
     names = draw(st.permutations([f"d{i:02d}" for i in range(len(rows))]))
     return make_matrix(dict(zip(names, rows)))
 
@@ -241,6 +244,18 @@ def _scalar_exhaustive(matrix, size, mode, variant, top_k):
                     for c in combinations(_complete_names(matrix), size))
     return [(names, score_selection(matrix, names, variant).score)
             for _, names in ranked[:top_k]]
+
+
+def _unpruned(matrix, size, mode, variant, top_k):
+    """``[(datasets, score, rank)]`` of the plain block scan over every
+    candidate, with no bound and rows in name order."""
+    names = _complete_names(matrix)
+    P = matrix.values[[matrix.dataset_index(d) for d in names]]
+    top = search._ranker(P, P.shape[1], variant, -1.0 if mode == "max"
+                         else 1.0)(search._prefix_blocks(len(names), size),
+                                   top_k)
+    return [(tuple(names[i] for i in idx), score, rank)
+            for rank, ((_, idx), score) in enumerate(top, 1)]
 
 
 def _scalar_greedy(matrix, size, mode, variant):
@@ -274,6 +289,62 @@ def test_exhaustive_matches_scalar_reference(matrix, data, batch):
                     range(1, len(want) + 1))
                 assert res.candidates_evaluated == math.comb(
                     len(matrix.datasets), size)
+
+
+@settings(deadline=None)
+@given(matrix=tied_matrices(drawn=(8, 12), copies=(2, 4)), data=st.data(),
+       mode=st.sampled_from(["max", "min"]),
+       variant=st.sampled_from(["nth-root", "literal-sqrt"]),
+       batch=st.sampled_from([1, 7, search._BATCH]))
+def test_bounded_search_matches_unpruned_scan(matrix, data, mode, variant,
+                                              batch):
+    """With 10-16 rows, the bounded max-mode search prunes after its
+    first blocks; ranks, name tuples, exact score floats and the
+    candidate count still equal the scan over every candidate."""
+    n = len(matrix.datasets)
+    size = data.draw(st.integers(2, min(5, n)))
+    top_k = data.draw(st.integers(1, 4))
+    with mock.patch.object(search, "_BATCH", batch):
+        res = exhaustive_search(matrix, size, mode, top_k=top_k,
+                                variant=variant)
+        assert [(s.datasets, s.score, s.rank) for s in res.top] == \
+            _unpruned(matrix, size, mode, variant, top_k)
+    assert res.candidates_evaluated == math.comb(n, size)
+
+
+def test_bounded_search_matches_unpruned_scan_on_corpus(fixture_matrix):
+    res = exhaustive_search(fixture_matrix, 5, "max", top_k=3)
+    assert res.candidates_evaluated == 575757
+    assert [(s.datasets, s.score, s.rank) for s in res.top] == _unpruned(
+        fixture_matrix, 5, "max", "nth-root", 3)
+
+
+def _count_block_scored():
+    """Patch :func:`search._block_keyer` so every block it scores adds
+    its number of keys to the returned list's one entry."""
+    keyer, scored = search._block_keyer, [0]
+
+    def counting_keyer(*args):
+        keys_of = keyer(*args)
+
+        def keys(pre, start):
+            keys = keys_of(pre, start)
+            scored[0] += keys.size
+            return keys
+        return keys
+    return mock.patch.object(search, "_block_keyer", counting_keyer), scored
+
+
+def test_bounded_search_scores_a_fraction_of_the_corpus(fixture_matrix):
+    """At k=4 the bound leaves under a quarter of the 82,251 quadruples
+    to the block keyer; min mode has no bound and scores all of them."""
+    patch, scored = _count_block_scored()
+    with patch:
+        exhaustive_search(fixture_matrix, 4, "max", top_k=3)
+        assert 0 < scored[0] <= 82251 / 4
+        scored[0] = 0
+        exhaustive_search(fixture_matrix, 4, "min", top_k=3)
+        assert scored[0] >= 82251
 
 
 @settings(deadline=None)
@@ -373,5 +444,27 @@ def test_exhaustive_memory_does_not_grow_with_candidates(rng):
             peaks[size] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    assert peaks[4] < 2 * 2**20
+    assert peaks[4] < 2 * peaks[3]
+
+
+def test_bounded_search_memory_when_nothing_prunes():
+    """On 40 identical rows every bound ties the cut-off, so the max-mode
+    search keeps every prefix (all 91,390 quadruples reach the block
+    keyer); its peak memory still must not grow from k=3 to k=4."""
+    m = make_matrix({f"d{i:02d}": [0.25, 0.75] for i in range(40)})
+    patch, scored = _count_block_scored()
+    peaks = {}
+    with patch:
+        for size in (3, 4):
+            tracemalloc.start()
+            try:
+                res = exhaustive_search(m, size, "max", top_k=3)
+                peaks[size] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert res.top[0] == search.Selection(
+                tuple(f"d{i:02d}" for i in range(size)), 0.0, 1)
+    assert scored[0] >= math.comb(40, 3) + math.comb(40, 4)
     assert peaks[4] < 2 * 2**20
     assert peaks[4] < 2 * peaks[3]
