@@ -11,8 +11,6 @@ Exit codes: 0 success, 1 user error (flags/config), 2 data error
 """
 
 import argparse
-import csv
-import io
 import os
 import re
 import sys
@@ -220,17 +218,6 @@ def _emit(cfg: RunConfig, name: str, text: str) -> None:
     print(f"wrote {path}", file=sys.stderr)
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]],
-              trailer: str | None = None) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    if trailer is not None:
-        buf.write(trailer + "\n")
-    return buf.getvalue()
-
-
 def _cmd_validate(matrix: PerformanceMatrix, cfg: RunConfig,
                   ns: argparse.Namespace) -> int:
     rep = ingest.validate(matrix)
@@ -250,7 +237,7 @@ def _cmd_metrics(matrix: PerformanceMatrix, cfg: RunConfig,
     rows = [[r.dataset, _fmt4(r.difficulty),
              "" if r.variance is None else _fmt4(r.variance),
              str(r.present_count)] for r in report.rows]
-    _emit(cfg, "metrics.csv", _csv_text(
+    _emit(cfg, "metrics.csv", ingest.csv_text(
         ["dataset", "difficulty", "variance", "present_count"], rows))
     return 0
 
@@ -291,7 +278,7 @@ def _cmd_select(matrix: PerformanceMatrix, cfg: RunConfig,
             rows.append([str(sel.rank), str(size), ";".join(sel.datasets),
                          _fmt4(sel.score)])
     _emit(cfg, "selections.csv",
-          _csv_text(["rank", "size", "datasets", "score"], rows))
+          ingest.csv_text(["rank", "size", "datasets", "score"], rows))
     return 0
 
 
@@ -310,7 +297,7 @@ def _cmd_pca(matrix: PerformanceMatrix, cfg: RunConfig,
             for i, name in enumerate(projection.dataset_ids)]
     trailer = "# explained_variance_ratio," + ",".join(
         _fmt4(float(r)) for r in projection.explained_variance_ratio)
-    _emit(cfg, "pca.csv", _csv_text(
+    _emit(cfg, "pca.csv", ingest.csv_text(
         ["dataset", *(f"pc{i + 1}" for i in range(k))], rows, trailer))
     return 0
 
@@ -325,7 +312,7 @@ def _cmd_plot_mini(matrix: PerformanceMatrix, cfg: RunConfig,
     for warning in grid.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     seen: dict[str, str] = {}
-    for label, _ in grid.plots:
+    for label in grid.plots.labels:
         name = _safe_name(label)
         if name in seen:
             raise ApsError(f"plot labels {seen[name]!r} and {label!r} "

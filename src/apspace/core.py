@@ -128,6 +128,10 @@ def _check_label(label: str, kind: str) -> str:
     if not isinstance(label, str) or not label or label != label.strip():
         raise InvalidLabelError(f"bad {kind} name {label!r}: must be non-empty "
                                 "with no surrounding whitespace")
+    if "\x00" in label:
+        # before Python 3.11 the csv module can neither write nor read it
+        raise InvalidLabelError(f"bad {kind} name {label!r}: "
+                                "contains a NUL character")
     return label
 
 

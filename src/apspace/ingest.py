@@ -13,8 +13,10 @@ numbers; writers emit shortest-round-trip floats so parse(write(m)) == m.
 import csv
 import io
 from dataclasses import dataclass
-from itertools import repeat
+from functools import wraps
+from itertools import chain, repeat
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .core import (ApsError, EmptyRowError, PerformanceMatrix, Score,
                    build_matrix)
@@ -62,12 +64,30 @@ def _parse_score(text: str, line_num: int) -> Score:
 
 def _reader(text: str) -> tuple[csv.reader, list[str] | None]:
     """A CSV reader over ``text`` with one leading BOM dropped, and its
-    first row with each cell stripped (``None`` for empty text)."""
+    first row with each cell stripped (``None`` for empty text).
+
+    Text with a NUL character is refused here on every Python version:
+    before 3.11 the csv module cannot read it at all."""
+    if "\x00" in text:
+        raise MalformedRowError("cannot read CSV: it contains a NUL character")
     rdr = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
     header = next(rdr, None)
     return rdr, header and [cell.strip() for cell in header]
 
 
+def _csv_faults_as_row_errors(parse):
+    """Report a fault the csv module raises itself, such as a field over
+    its size limit, as a :class:`MalformedRowError`."""
+    @wraps(parse)
+    def checked(*args, **kwargs) -> PerformanceMatrix:
+        try:
+            return parse(*args, **kwargs)
+        except csv.Error as exc:
+            raise MalformedRowError(f"cannot read CSV: {exc}") from None
+    return checked
+
+
+@_csv_faults_as_row_errors
 def parse_csv(text: str, fmt: str = "auto") -> PerformanceMatrix:
     """Parse either shape; ``fmt="auto"`` reads the header as CSV and
     picks long when it is ``dataset,algorithm,score``, else wide."""
@@ -80,6 +100,7 @@ def parse_csv(text: str, fmt: str = "auto") -> PerformanceMatrix:
     raise ValueError(f"unknown input format {fmt!r}")
 
 
+@_csv_faults_as_row_errors
 def parse_long(text: str) -> PerformanceMatrix:
     """Parse ``dataset,algorithm,score`` rows into a matrix.
 
@@ -104,6 +125,7 @@ def parse_long(text: str) -> PerformanceMatrix:
     return build_matrix(records)
 
 
+@_csv_faults_as_row_errors
 def parse_wide(text: str) -> PerformanceMatrix:
     """Parse one-row-per-dataset CSV into a matrix.
 
@@ -142,25 +164,38 @@ def _format_score(value: Score) -> str:
     return "" if value is None else repr(value)
 
 
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]],
+             trailer: str | None = None) -> str:
+    """CSV lines ending in ``\\n``, then ``trailer`` as a line of its own.
+
+    A row with a ``\\r`` in a field is written with every field quoted:
+    before Python 3.13 the csv module leaves a lone ``\\r`` unquoted, and
+    a reader ends the line there.
+    """
+    buf = io.StringIO()
+    plain = csv.writer(buf, lineterminator="\n").writerow
+    quoted = csv.writer(buf, lineterminator="\n",
+                        quoting=csv.QUOTE_ALL).writerow
+    for row in chain([header], rows):
+        (quoted if "\r" in "".join(row) else plain)(row)
+    if trailer is not None:
+        buf.write(trailer + "\n")
+    return buf.getvalue()
+
+
 def write_long(matrix: PerformanceMatrix) -> str:
     """Emit long-format CSV (row order: dataset-major, algorithm order)."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["dataset", "algorithm", "score"])
-    for dataset, row in zip(matrix.datasets, matrix.cells):
-        for algorithm, value in zip(matrix.algorithms, row):
-            w.writerow([dataset, algorithm, _format_score(value)])
-    return buf.getvalue()
+    return csv_text(["dataset", "algorithm", "score"], (
+        [dataset, algorithm, _format_score(value)]
+        for dataset, row in zip(matrix.datasets, matrix.cells)
+        for algorithm, value in zip(matrix.algorithms, row)))
 
 
 def write_wide(matrix: PerformanceMatrix) -> str:
     """Emit wide-format CSV, one line per dataset plus the header."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["dataset", *matrix.algorithms])
-    for dataset, row in zip(matrix.datasets, matrix.cells):
-        w.writerow([dataset, *(_format_score(v) for v in row)])
-    return buf.getvalue()
+    return csv_text(["dataset", *matrix.algorithms],
+                    ([dataset, *map(_format_score, row)]
+                     for dataset, row in zip(matrix.datasets, matrix.cells)))
 
 
 def validate(matrix: PerformanceMatrix) -> ValidationReport:

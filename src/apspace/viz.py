@@ -27,6 +27,8 @@ from .metrics import DimensionMismatchError
 from .pca import BadComponentCountError, PcaProjection
 
 _HEX_COLOR = re.compile(r"^#[0-9a-fA-F]{6}$")
+# not allowed in an XML 1.0 document, not even as a character reference
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 _POINT_COLOR = "#4477aa"
 _HIGHLIGHT_FALLBACK = "#cc3311"
@@ -90,12 +92,6 @@ class PlotSpec:
         _check_color(self.point_color, "point color")
 
 
-@dataclass(frozen=True)
-class GridResult:
-    """All pairwise mini plots plus warnings for the skipped pairs."""
-
-    plots: tuple[tuple[str, str], ...]   # (label, svg document)
-    warnings: tuple[str, ...]
 
 
 def _fmt(x: float) -> str:
@@ -103,8 +99,9 @@ def _fmt(x: float) -> str:
 
 
 def _escape(text: str) -> str:
-    """Escape ``&``, ``<`` and ``>`` for SVG text; quotes are left as is."""
-    return _html_escape(text, quote=False)
+    """Escape ``&``, ``<`` and ``>`` for SVG text and put U+FFFD for each
+    character XML 1.0 does not allow; quotes are left as is."""
+    return _NOT_XML.sub("\ufffd", _html_escape(text, quote=False))
 
 
 def _lerp_color(low: str, high: str, t: float) -> str:
@@ -230,10 +227,12 @@ class _MiniPlots:
     """What every mini plot of one matrix shares, built once per grid.
 
     The scores as float64 with NaN for gaps, the mask of present cells,
-    and each dataset's circle text, all in draw order.  Most plots of a
-    grid scale an axis by the same column max, so each column's pixel
-    text is formatted once per (axis, max) and kept as a numpy string
-    array, which holds it in a third of the memory of a list of ``str``.
+    each column's max and each dataset's circle text, all in draw order.
+    Most plots of a grid scale an axis by its column's own max, so that
+    column's pixel text is formatted once per axis and kept as a numpy
+    string array: at most two per column, however many pairs plot it.
+    A plot whose datasets leave the column max out formats the text of
+    its own points and keeps none of it.
     """
 
     def __init__(self, matrix: PerformanceMatrix, spec: PlotSpec):
@@ -243,17 +242,26 @@ class _MiniPlots:
         order, self.tails = _point_tails(spec, matrix.datasets)
         self.values = matrix.values[order]
         self.present = ~np.isnan(self.values)
-        self._text: dict[tuple[str, int, float], np.ndarray] = {}
+        self._column_max = np.fmax.reduce(self.values, axis=0,
+                                          initial=-np.inf)
+        self._text: dict[tuple[str, int], np.ndarray] = {}
 
-    def _column_text(self, axis: str, j: int, peak: float) -> np.ndarray:
-        key = (axis, j, peak)
-        if key not in self._text:
-            to_pixel = self.frame.x if axis == "x" else self.frame.y
-            self._text[key] = np.array(
+    def _axis_text(self, axis: str, j: int, peak: float,
+                   both: np.ndarray) -> list[str]:
+        """Pixel text of column ``j`` scaled by ``peak``, for the
+        datasets in ``both``."""
+        to_pixel = self.frame.x if axis == "x" else self.frame.y
+        if peak != self._column_max[j]:
+            return _pixel_text(to_pixel(self.values[both, j] / peak))
+        if (axis, j) not in self._text:
+            self._text[axis, j] = np.array(
                 _pixel_text(to_pixel(self.values[:, j] / peak)))
-        return self._text[key]
+        return self._text[axis, j][both].tolist()
 
-    def svg(self, algo_x: str, algo_y: str) -> str:
+    def scope(self, algo_x: str, algo_y: str
+              ) -> tuple[int, int, np.ndarray, float, float]:
+        """Column indices, plotted-dataset mask and axis peaks of one
+        plot; raises the error that makes the plot impossible."""
         if algo_x == algo_y:
             raise SameAlgorithmError(
                 f"cannot plot algorithm {algo_x!r} against itself")
@@ -271,13 +279,55 @@ class _MiniPlots:
         if max_y <= 0.0:
             raise ZeroColumnError(
                 f"axis {algo_y!r} has no positive score among plotted datasets")
+        return jx, jy, both, max_x, max_y
+
+    def svg(self, algo_x: str, algo_y: str) -> str:
+        jx, jy, both, max_x, max_y = self.scope(algo_x, algo_y)
         parts = _open_svg(self.spec)
         parts += _axes(self.frame, algo_x, algo_y, ("0", "0.5", "1"))
-        parts += _circles(self._column_text("x", jx, max_x)[both].tolist(),
-                          self._column_text("y", jy, max_y)[both].tolist(),
+        parts += _circles(self._axis_text("x", jx, max_x, both),
+                          self._axis_text("y", jy, max_y, both),
                           compress(self.tails, both.tolist()))
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
+
+
+class PlotSequence(Sequence[tuple[str, str]]):
+    """The ``(label, svg document)`` of each plottable pair of a grid.
+
+    Sized and re-iterable, but lazy: indexing renders that one document
+    and every iteration renders afresh.  Nothing is cached, so memory
+    holds only the documents the caller keeps.  ``labels`` needs no
+    rendering, and a slice is a sequence over fewer pairs that renders
+    nothing either.  Two sequences compare by identity, not by their
+    documents: compare ``list(plots)`` for that.
+    """
+
+    def __init__(self, plotter: _MiniPlots,
+                 pairs: Sequence[tuple[str, str]]):
+        self._plotter = plotter
+        self._pairs = tuple(pairs)
+        self.labels = tuple(f"{x}_vs_{y}" for x, y in self._pairs)
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def __getitem__(self, index: int | slice
+                    ) -> "tuple[str, str] | PlotSequence":
+        if isinstance(index, slice):
+            return PlotSequence(self._plotter, self._pairs[index])
+        x, y = self._pairs[index]
+        return self.labels[index], self._plotter.svg(x, y)
+
+
+@dataclass(frozen=True)
+class GridResult:
+    """The pairwise mini plots of a grid plus warnings for the skipped
+    pairs.  ``plots`` renders on access (see :class:`PlotSequence`), so
+    two results are equal only when they share that sequence."""
+
+    plots: PlotSequence
+    warnings: tuple[str, ...]
 
 
 def mini_aps_svg(matrix: PerformanceMatrix, algo_x: str, algo_y: str,
@@ -297,22 +347,26 @@ def mini_aps_grid(matrix: PerformanceMatrix, spec: PlotSpec | None = None,
     """Every pairwise mini plot, labeled ``<x>_vs_<y>``.
 
     Unordered pairs by default (x before y in matrix column order);
-    ``ordered=True`` renders both orientations.  Pairs with no common
-    dataset are skipped with a warning instead of failing the batch.
+    ``ordered=True`` renders both orientations.  Every pair is checked
+    here, before any document is rendered: pairs with no common dataset
+    are skipped with a warning instead of failing the batch, and a
+    :class:`ZeroColumnError` is raised at the first pair that has one.
+    The documents themselves render only when ``plots`` is read.
     """
     if matrix.n_algorithms < 2:
         raise DimensionMismatchError("grid needs at least 2 algorithms")
     plotter = _MiniPlots(matrix, spec or PlotSpec())
     pairs = permutations if ordered else combinations
-    plots, warnings = [], []
+    plottable, warnings = [], []
     for x, y in pairs(matrix.algorithms, 2):
         try:
-            svg = plotter.svg(x, y)
+            plotter.scope(x, y)
         except NoPlottablePointsError:
             warnings.append(f"{x} vs {y}: no datasets with both scores; skipped")
             continue
-        plots.append((f"{x}_vs_{y}", svg))
-    return GridResult(plots=tuple(plots), warnings=tuple(warnings))
+        plottable.append((x, y))
+    return GridResult(plots=PlotSequence(plotter, plottable),
+                      warnings=tuple(warnings))
 
 
 def _legend(frame: _Frame, title: str, low_label: str, high_label: str,

@@ -3,6 +3,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -10,8 +11,10 @@ from unittest import mock
 import pytest
 
 import apspace
+from conftest import make_matrix, random_matrix
 from apspace.cli import RunConfig, run
-from apspace.ingest import fixture_path, write_long, load_thesis_matrix
+from apspace.ingest import (fixture_path, load_thesis_matrix, write_long,
+                            write_wide)
 from apspace.metrics import metric_table
 from apspace.pca import pca_project
 from apspace.viz import PlotSpec, pca_scatter_svg
@@ -166,6 +169,77 @@ def test_plot_mini_file_name_collision_fails(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_plot_mini_zero_column_on_a_later_pair_writes_nothing(tmp_path,
+                                                             capsys):
+    """Pair a_vs_b renders, but c has no positive score: exit 2 before
+    the first file, not after it."""
+    src = tmp_path / "zero.csv"
+    src.write_text("dataset,a,b,c\nd1,0.1,0.2,0\nd2,0.4,0.5,0\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["plot", "mini", "-i", str(src), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: axis 'c' has no positive score among plotted datasets\n")
+    assert not out.exists()
+
+
+def test_plot_mini_warnings_come_before_the_first_file(tmp_path, capsys):
+    """Every skipped pair is reported before any plot is written, even a
+    pair that comes after a written one in pair order."""
+    src = tmp_path / "gappy.csv"
+    src.write_text("dataset,a,b,c,d\nd1,0.5,0.5,,0.2\nd2,,0.5,0.5,\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["plot", "mini", "--ordered", "-i", str(src),
+                "-o", str(out)]) == 0
+    skipped = [f"warning: {x} vs {y}: no datasets with both scores; skipped"
+               for x, y in ("ac", "ca", "cd", "dc")]
+    written = [f"wrote {out / f'mini_{x}_vs_{y}.svg'}"
+               for x, y in ("ab", "ad", "ba", "bc", "bd", "cb", "da", "db")]
+    assert [line for line in capsys.readouterr().err.splitlines()
+            if not line.startswith("config: ")] == skipped + written
+
+
+def _one_peak_per_pair(n_algorithms: int, n_datasets: int):
+    """Scores where each pair (x_i, y_j), i < j, has its own y-axis peak.
+
+    Row (i, j) is present on columns i..j only, with 0.25 on each but j,
+    where it holds 0.5 + 0.5 (i + 1) / n: the largest value of column j
+    that x_i plots, since rows (k, j) with k > i lack column i."""
+    rows = []
+    for j in range(1, n_algorithms):
+        for i in range(j):
+            cells = [None] * n_algorithms
+            cells[i:j] = [0.25] * (j - i)
+            cells[j] = 0.5 + 0.5 * (i + 1) / n_algorithms
+            rows.append(cells)
+    rows += [[0.25] * n_algorithms] * (n_datasets - len(rows))
+    return make_matrix({f"ds{i:03d}": r for i, r in enumerate(rows)})
+
+
+def test_plot_mini_peak_memory_does_not_grow_with_the_plot_count(tmp_path,
+                                                                 rng):
+    """At 4,000 cells, 190 plots may not need more memory than 45: each
+    document is written before the next is rendered, and the pixel text
+    kept per column does not grow with the pairs that plot it."""
+    peaks = {}
+    for name, matrix in (
+            ("45 plots", random_matrix(rng, 400, 10, missing_rate=0.2)),
+            ("190 plots", random_matrix(rng, 200, 20, missing_rate=0.2)),
+            ("190 y peaks", _one_peak_per_pair(20, 200))):
+        src = tmp_path / f"{name}.csv"
+        src.write_text(write_wide(matrix), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert run(["plot", "mini", "-i", str(src),
+                        "-o", str(tmp_path / name)]) == 0
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["190 plots"] <= peaks["45 plots"], peaks
+    assert peaks["190 y peaks"] <= peaks["45 plots"], peaks
+
+
 def test_plot_pca_with_coloring(outdir):
     assert run(["plot", "pca", "--color-by", "difficulty",
                 "--pca-imputation", "mean-fill",
@@ -249,6 +323,12 @@ def test_exit_code_data_errors(tmp_path, capsys):
     out_of_range = tmp_path / "range.csv"
     out_of_range.write_text("dataset,a\nd1,1.5\n", encoding="utf-8")
     assert run(["metrics", "-i", str(out_of_range), "-o", str(tmp_path)]) == 2
+    huge = tmp_path / "huge.csv"
+    huge.write_text(f'dataset,a\nd1,"{" " * 200_000}0.5"\n', encoding="utf-8")
+    capsys.readouterr()
+    assert run(["validate", "-i", str(huge)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: cannot read CSV: field larger than field limit (131072)\n")
     one_algorithm = tmp_path / "one.csv"
     one_algorithm.write_text("dataset,a\nx,0.5\ny,0.2\n", encoding="utf-8")
     capsys.readouterr()

@@ -55,7 +55,8 @@ def test_build_matrix_empty_row():
                       ("ok", "a", 0.3)])
 
 
-@pytest.mark.parametrize("label", ["", " padded", "padded ", "\ttab"])
+@pytest.mark.parametrize("label", ["", " padded", "padded ", "\ttab",
+                                   "nul\x00"])
 def test_build_matrix_rejects_bad_labels(label):
     with pytest.raises(InvalidLabelError):
         build_matrix([(label, "a", 0.5)])

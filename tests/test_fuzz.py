@@ -1,0 +1,126 @@
+"""Property referees for the ingest boundary: hostile but valid input
+round-trips, and no CSV text makes a command fail with an internal
+error or write an SVG that is not XML."""
+
+import contextlib
+import io
+import tempfile
+import xml.etree.ElementTree as ET
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from apspace.cli import run
+from apspace.core import build_matrix
+from apspace.ingest import parse_csv, write_long, write_wide
+
+_ODD_LABELS = ("a,b", 'say "hi"', '"', "line\nbreak", "cr\rreturn",
+               "crlf\r\nend", "naïve", "漢字", "NaN", "nan", "dataset",
+               "algorithm", "score", "\ufeffbom", "tab\tin", "bell\x07",
+               "\ufffe", "&<>'")
+
+# every label build_matrix accepts; a NUL one it refuses (tests/test_core.py)
+labels = st.one_of(
+    st.sampled_from(_ODD_LABELS),
+    st.text(st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters="\x00"), max_size=6)
+    .map(str.strip).filter(bool))
+
+# gaps, both ends of [0, 1], -0.0, the least subnormal, and 1e-400,
+# which is 0.0 once read
+scores = st.one_of(st.none(), st.floats(0.0, 1.0),
+                   st.sampled_from([-0.0, 5e-324, float("1e-400"), 1.0]))
+
+
+@st.composite
+def matrices(draw):
+    algorithms = draw(st.lists(labels, min_size=1, max_size=4, unique=True))
+    datasets = draw(st.lists(labels, min_size=1, max_size=5, unique=True))
+    records = []
+    for dataset in datasets:
+        row = draw(st.lists(scores, min_size=len(algorithms),
+                            max_size=len(algorithms)))
+        if row.count(None) == len(row):
+            row[0] = 0.5
+        records += [(dataset, a, v) for a, v in zip(algorithms, row)]
+    return build_matrix(records)
+
+
+@settings(deadline=None)
+@given(matrices())
+def test_write_then_parse_is_the_identity(m):
+    for fmt, write in (("wide", write_wide), ("long", write_long)):
+        text = write(m)
+        back = parse_csv(text, fmt)
+        assert back == m
+        assert write(back) == text  # the sign of -0.0 survives too
+
+
+score_texts = st.one_of(
+    st.floats(0.0, 1.0).map(repr),
+    st.sampled_from(["", " ", "NaN", "-0.0", "1e-400", "0", " 0.25 ", "1"]))
+tokens = st.one_of(labels, score_texts, st.sampled_from(
+    ["nan", "inf", "-inf", "1.5", "-1", "1e308", "abc", '"', '"x',
+     "a\x00b"]))
+
+
+def _quote_all(rows: list[list[str]], end: str) -> str:
+    """What ``csv.writer`` writes with ``QUOTE_ALL``, for NUL too, which
+    its writer refuses before Python 3.11."""
+    return "".join(",".join('"' + cell.replace('"', '""') + '"'
+                            for cell in row) + end for row in rows)
+
+
+@st.composite
+def csv_texts(draw):
+    """Wide, long or shapeless CSV with hostile labels.  Half the texts
+    are well-formed; the rest may put any token in any cell, end in
+    ragged rows and leave quotes and line breaks unquoted."""
+    width = draw(st.integers(1, 4))
+    hostile = draw(st.booleans())
+    cell = tokens if hostile else score_texts
+    names = draw(st.lists(labels, min_size=1, max_size=6, unique=True))
+    algorithms = draw(st.lists(labels, min_size=width, max_size=width,
+                               unique=True))
+    shape = draw(st.sampled_from(["wide", "long", "shapeless"]))
+    if shape == "wide":
+        header = ["dataset", *algorithms]
+        rows = [[name, *draw(st.lists(cell, min_size=width,
+                                      max_size=width))] for name in names]
+    elif shape == "long":
+        header = ["dataset", "algorithm", "score"]
+        rows = [[name, algorithm, draw(cell)]
+                for name in names for algorithm in algorithms]
+    else:
+        header = draw(st.lists(tokens, min_size=1, max_size=width))
+        rows = []
+    if hostile or shape == "shapeless":
+        rows += draw(st.lists(st.lists(tokens, max_size=width + 2),
+                              max_size=3))
+    if hostile and draw(st.booleans()):
+        # raw joins: stray quotes and embedded line breaks stay as drawn
+        text = "\n".join(",".join(row) for row in [header, *rows])
+    else:
+        text = _quote_all([header, *rows],
+                          draw(st.sampled_from(["\n", "\r\n"])))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@settings(deadline=None)  # each example writes files
+@given(csv_texts())
+def test_commands_never_fail_internally_and_write_only_xml(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "in.csv"
+        src.write_text(text, encoding="utf-8")
+        # --ordered renders every document the unordered grid would
+        for command in (["validate"], ["metrics"],
+                        ["plot", "mini", "--ordered"]):
+            out = Path(tmp) / "-".join(command)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = run([*command, "-i", str(src), "-o", str(out)])
+            assert code in (0, 1, 2), err.getvalue()
+            for svg in out.glob("*.svg"):
+                ET.fromstring(svg.read_text(encoding="utf-8"))

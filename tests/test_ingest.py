@@ -174,9 +174,31 @@ def test_round_trip_awkward_names():
         ('with,comma', 'algo "quoted"', 0.25),
         ("with\nnewline", 'algo "quoted"', None),
         ("with\nnewline", "plain", 0.75),
+        ("with\rreturn", "plain", 0.5),
     ])
     assert parse_wide(write_wide(m)) == m
     assert parse_long(write_long(m)) == m
+    # only the row with a carriage return is quoted field by field
+    assert write_wide(m).endswith('\n"with\rreturn","","0.5"\n')
+
+
+@pytest.mark.parametrize("text", [
+    "dataset\x00,a\nd1,0.5\n",             # header, before its error
+    "dataset,a\x00\nd1,0.5\n",             # algorithm name
+    'dataset,a\n"d\x001",0.5\n',           # quoted dataset name
+    "dataset,a\nd1,0.5\x00\n",             # score
+    "dataset,a\nd1,0.5,0.1\n\x00\n",        # after a ragged row
+    "dataset,algorithm,score\nd1,a,\x00\n",  # long
+])
+def test_nul_is_refused_the_same_way_everywhere(text):
+    """Before Python 3.11 the csv module cannot read NUL at all, so the
+    parsers refuse it up front on every version, ahead of any other
+    fault in the text."""
+    for parse in (parse_csv, parse_wide, parse_long):
+        with pytest.raises(MalformedRowError) as info:
+            parse(text)
+        assert str(info.value) == (
+            "cannot read CSV: it contains a NUL character")
 
 
 def test_round_trip_random_matrices(rng):

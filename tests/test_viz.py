@@ -130,6 +130,14 @@ def test_xml_escaping_in_names():
     assert pts[0][3] == "a&b<c>"
 
 
+def test_characters_xml_forbids_become_replacement_characters():
+    m = make_matrix({"bell\x07 \x01!": [0.5, 0.5]},
+                    algorithms=["x\x1by", "p\ufffeq"])
+    svg = mini_aps_svg(m, "x\x1by", "p\ufffeq")
+    assert circles(svg)[0][3] == "bell\ufffd \ufffd!"
+    assert ">x\ufffdy<" in svg and ">p\ufffdq<" in svg
+
+
 # ---------------------------------------------------------------------- grid
 
 def test_grid_fixture_unordered(fixture_matrix):
@@ -161,6 +169,22 @@ def test_grid_skips_pairs_without_common_datasets():
                                                   "algo1_vs_algo2"]
     assert grid.warnings == (
         "algo0 vs algo2: no datasets with both scores; skipped",)
+
+
+def test_grid_plots_is_a_re_iterable_sequence(fixture_matrix):
+    plots = mini_aps_grid(fixture_matrix, ordered=True).plots
+    assert len(plots) == 20
+    first, again = list(plots), list(plots)
+    assert first == again
+    assert plots[0] == first[0] and plots[-1] == first[-1]
+    assert plots[3] == ("BPR_vs_SGL",
+                        mini_aps_svg(fixture_matrix, "BPR", "SGL"))
+    with pytest.raises(IndexError):
+        plots[20]
+    # a slice is lazy too, not a pair of (label, svg) tuples
+    part = plots[1:3]
+    assert len(part) == 2 and part.labels == plots.labels[1:3]
+    assert list(part) == first[1:3]
 
 
 def test_grid_two_algorithms_single_panel():
