@@ -202,7 +202,9 @@ def _load_matrix(cfg: RunConfig) -> PerformanceMatrix:
         raise _UserError("no input file; pass --input or set input_path "
                          "in the config file")
     try:
-        text = Path(cfg.input_path).read_text(encoding="utf-8")
+        # newline="": a \r inside a quoted label is data, not a line end
+        with open(cfg.input_path, encoding="utf-8", newline="") as f:
+            text = f.read()
     except OSError as exc:
         raise ApsError(f"cannot read input {cfg.input_path}: {exc}") from None
     return ingest.parse_csv(text, cfg.input_format)
@@ -265,11 +267,12 @@ def _check_select(ns: argparse.Namespace) -> None:
 
 def _cmd_select(matrix: PerformanceMatrix, cfg: RunConfig,
                 ns: argparse.Namespace) -> int:
-    rows = []
+    rows, result = [], None
     for size in ns.sizes:
-        if ns.strategy == "greedy":
+        if ns.strategy == "greedy":  # each size grows the one before it
             result = greedy_search(matrix, size, mode=ns.mode,
-                                   variant=cfg.diversity_variant)
+                                   variant=cfg.diversity_variant,
+                                   extend=result)
         else:
             result = exhaustive_search(matrix, size, mode=ns.mode,
                                        top_k=ns.top,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import wraps
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (ApsError, EmptyRowError, PerformanceMatrix, Score,
                    build_matrix)
@@ -62,17 +62,39 @@ def _parse_score(text: str, line_num: int) -> Score:
     return value
 
 
-def _reader(text: str) -> tuple[csv.reader, list[str] | None]:
-    """A CSV reader over ``text`` with one leading BOM dropped, and its
-    first row with each cell stripped (``None`` for empty text).
+def _reader(text: str) -> tuple[Iterator[tuple[int, list[str]]],
+                                 list[str] | None]:
+    """The rows of the CSV ``text`` after its header, each with the line
+    number it ends on, and the header with each cell stripped (``None``
+    for empty text).  One leading BOM is dropped.
 
     Text with a NUL character is refused here on every Python version:
-    before 3.11 the csv module cannot read it at all."""
+    before 3.11 the csv module cannot read it at all.  So is a quoted
+    field still open at the end of the text, which the csv reader would
+    close there.  The reader returns a row as soon as it is complete, so
+    a row it returns after asking for input past the last line is one
+    whose quote was never closed.  (``strict=True`` would refuse that
+    too, but also ``"0.2"5``, which reads as ``0.25``.)"""
     if "\x00" in text:
         raise MalformedRowError("cannot read CSV: it contains a NUL character")
-    rdr = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
-    header = next(rdr, None)
-    return rdr, header and [cell.strip() for cell in header]
+    ended = []
+
+    def lines():
+        yield from io.StringIO(text.removeprefix("\ufeff"), newline="")
+        ended.append(True)
+
+    def read():
+        rdr, start = csv.reader(lines()), 1
+        for row in rdr:
+            if ended:
+                raise MalformedRowError(f"line {start}: quoted field not "
+                                        "closed before the end of the input")
+            yield rdr.line_num, row
+            start = rdr.line_num + 1
+
+    rows = read()
+    header = next(rows, (0, None))[1]
+    return rows, header and [cell.strip() for cell in header]
 
 
 def _csv_faults_as_row_errors(parse):
@@ -107,21 +129,21 @@ def parse_long(text: str) -> PerformanceMatrix:
     Blank lines are skipped.  Header cells must match once stripped;
     every data row must have exactly three fields.
     """
-    rdr, header = _reader(text)
+    rows, header = _reader(text)
     if header != _LONG_HEADER:
         raise MalformedHeaderError(
             f"expected header dataset,algorithm,score, got {header!r}")
     records = []
-    for row in rdr:
+    for line, row in rows:
         if not row:
             continue
         if len(row) != 3:
             raise MalformedRowError(
-                f"line {rdr.line_num}: expected 3 fields, got {len(row)}")
+                f"line {line}: expected 3 fields, got {len(row)}")
         dataset, algorithm = row[0].strip(), row[1].strip()
         if not dataset or not algorithm:
-            raise MalformedRowError(f"line {rdr.line_num}: empty name field")
-        records.append((dataset, algorithm, _parse_score(row[2], rdr.line_num)))
+            raise MalformedRowError(f"line {line}: empty name field")
+        records.append((dataset, algorithm, _parse_score(row[2], line)))
     return build_matrix(records)
 
 
@@ -133,25 +155,24 @@ def parse_wide(text: str) -> PerformanceMatrix:
     the algorithm columns (zero columns is allowed so degenerate matrices
     round-trip).  Every row must match the header width.
     """
-    rdr, header = _reader(text)
+    rows, header = _reader(text)
     if not header or header[0] != "dataset":
         raise MalformedHeaderError(
             f"expected wide header starting with 'dataset', got {header!r}")
     algorithms = header[1:]
     records = []
-    for row in rdr:
+    for line, row in rows:
         if not row:
             continue
         if len(row) != len(header):
             raise RaggedRowError(
-                f"line {rdr.line_num}: expected {len(header)} fields, "
+                f"line {line}: expected {len(header)} fields, "
                 f"got {len(row)}")
         dataset = row[0].strip()
         if not dataset:
-            raise MalformedRowError(f"line {rdr.line_num}: empty dataset name")
+            raise MalformedRowError(f"line {line}: empty dataset name")
         if not algorithms:
             raise EmptyRowError(f"dataset {dataset!r} has no present scores")
-        line = rdr.line_num
         records += zip(repeat(dataset), algorithms,
                        [_parse_score(cell, line) for cell in row[1:]])
     if not records:

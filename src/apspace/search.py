@@ -291,10 +291,13 @@ def _ranker(P, n_axes, variant, sign, order=None):
     return top
 
 
-def _prepare(matrix: PerformanceMatrix, size: int, mode: str, variant: str):
+def _prepare(matrix: PerformanceMatrix, size: int, mode: str, variant: str,
+             extend: SearchResult | None = None):
     """Check a search's arguments; return the complete rows' names,
     sorted, their points in that order, and :func:`_ranker` over those
-    points as a function of its ``order``."""
+    points as a function of its ``order``.  ``extend`` is a greedy
+    result to grow: same mode and variant, no larger than ``size``, over
+    complete rows of ``matrix``, with the greedy count for its size."""
     if mode not in SEARCH_MODES:
         raise ValueError(f"unknown search mode {mode!r}")
     _check_variant(variant)
@@ -310,9 +313,26 @@ def _prepare(matrix: PerformanceMatrix, size: int, mode: str, variant: str):
     if size > len(rows):
         raise SizeTooLargeError(
             f"subset size {size} exceeds the {len(rows)} complete rows")
+    names = [matrix.datasets[i] for i in rows]
+    if extend is not None:
+        if (extend.mode, extend.variant) != (mode, variant):
+            raise ValueError(
+                f"cannot extend a {extend.mode}/{extend.variant} result in "
+                f"a {mode}/{variant} search")
+        if extend.size > size:
+            raise ValueError(f"cannot extend a size-{extend.size} result "
+                             f"to size {size}")
+        if not set(extend.best.datasets) <= set(names):
+            raise ValueError("the result to extend names datasets that are "
+                             "not complete rows of this matrix")
+        n = len(names)
+        if extend.candidates_evaluated != math.comb(n, 2) + sum(
+                n - s for s in range(2, extend.size)):
+            raise ValueError("the result to extend is not a greedy result "
+                             "over this matrix's complete rows")
     sign = -1.0 if mode == "max" else 1.0
     points = matrix.values[rows]
-    return ([matrix.datasets[i] for i in rows], points,
+    return (names, points,
             partial(_ranker, points, matrix.n_algorithms, variant, sign))
 
 
@@ -348,20 +368,29 @@ def exhaustive_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
 
 
 def greedy_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
-                  variant: str = "nth-root") -> SearchResult:
+                  variant: str = "nth-root",
+                  extend: SearchResult | None = None) -> SearchResult:
     """Build one subset incrementally: best pair, then best addition.
 
-    Linear in candidates instead of combinatorial, for instances where
-    the exhaustive scan is unaffordable.  No optimality guarantee; on
-    the bundled fixture it lands within a few percent of the true
-    optimum in max mode.  Same determinism rules as the exhaustive
-    search.
+    Scores every pair once, C(n, 2) candidates, then the n - s rows
+    outside the subset at each addition, for instances where the
+    exhaustive scan is unaffordable.  With ``extend``, a result this
+    function returned for the same matrix, mode and variant and a size
+    no larger, the search starts from that subset and runs only the
+    remaining additions; the result is the one a fresh search gives.
+    No optimality guarantee; on the bundled fixture it lands within a
+    few percent of the true optimum in max mode.  Same determinism
+    rules as the exhaustive search.
     """
-    names, _, ranker = _prepare(matrix, size, mode, variant)
+    names, _, ranker = _prepare(matrix, size, mode, variant, extend)
     top_of = ranker()
     n = len(names)
-    [((_, subset), score)] = top_of(_prefix_blocks(n, 2), 1)
-    evaluated = math.comb(n, 2)
+    if extend is None:
+        [((_, subset), score)] = top_of(_prefix_blocks(n, 2), 1)
+        evaluated = math.comb(n, 2)
+    else:
+        subset = tuple(map(names.index, extend.best.datasets))
+        score, evaluated = extend.best.score, extend.candidates_evaluated
     while len(subset) < size:
         evaluated += n - len(subset)
         skip = np.isin(np.arange(n), subset)[None]

@@ -83,6 +83,20 @@ def test_select_greedy_strategy(outdir):
     assert "Jester" in lines[1]
 
 
+@pytest.mark.parametrize("mode", ["max", "min"])
+def test_select_greedy_range_equals_single_sizes(tmp_path, mode):
+    """A size range grows one greedy path; each size's row is what a run
+    for that size alone writes."""
+    argv = ["select", "--strategy", "greedy", "--mode", mode, "-i", FIXTURE]
+    assert run([*argv, "--size", "2..6", "-o", str(tmp_path / "all")]) == 0
+    single = []
+    for size in range(2, 7):
+        out = tmp_path / str(size)
+        assert run([*argv, "--size", f"{size}..{size}", "-o", str(out)]) == 0
+        single += read(out / "selections.csv").splitlines()[1:]
+    assert read(tmp_path / "all" / "selections.csv").splitlines()[1:] == single
+
+
 @pytest.mark.parametrize("argv, first_line", [
     (["plot", "mini", "--color-by", "variance"], "usage: aps plot mini "),
     (["plot", "pca", "--ordered"], "usage: aps plot pca "),
@@ -329,6 +343,12 @@ def test_exit_code_data_errors(tmp_path, capsys):
     assert run(["validate", "-i", str(huge)]) == 2
     assert capsys.readouterr().err.endswith(
         "error: cannot read CSV: field larger than field limit (131072)\n")
+    open_quote = tmp_path / "open.csv"
+    open_quote.write_text('dataset,a,b\nd1,0.5,"0.25', encoding="utf-8")
+    assert run(["validate", "-i", str(open_quote)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: line 2: quoted field not closed before the end of the "
+        "input\n")
     one_algorithm = tmp_path / "one.csv"
     one_algorithm.write_text("dataset,a\nx,0.5\ny,0.2\n", encoding="utf-8")
     capsys.readouterr()
@@ -408,6 +428,15 @@ def test_auto_format_detects_long(tmp_path, capsys, header):
     assert run(["validate", "-i", str(src), "--format", "long"]) == 0
     assert capsys.readouterr().out == auto
     assert auto.startswith("datasets: 71\nalgorithms: 5\n")
+
+
+def test_carriage_return_in_a_quoted_label_is_kept(tmp_path):
+    src = tmp_path / "cr.csv"
+    src.write_bytes(b'dataset,a,b\n"d\r1",0.5,0.5\n')
+    out = tmp_path / "out"
+    assert run(["metrics", "-i", str(src), "-o", str(out)]) == 0
+    assert (out / "metrics.csv").read_bytes().split(b"\n")[1] == \
+        b'"d\r1","0.5000","0.0000","2"'
 
 
 def test_auto_format_needs_exact_long_header(tmp_path, capsys):

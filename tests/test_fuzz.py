@@ -74,9 +74,12 @@ def _quote_all(rows: list[list[str]], end: str) -> str:
 
 @st.composite
 def csv_texts(draw):
-    """Wide, long or shapeless CSV with hostile labels.  Half the texts
-    are well-formed; the rest may put any token in any cell, end in
-    ragged rows and leave quotes and line breaks unquoted."""
+    """Wide, long or shapeless CSV with hostile labels, and what the
+    error of a command over it must contain (``None``: any outcome).
+    Half the texts are well-formed; the rest may put any token in any
+    cell, end in ragged rows and leave quotes and line breaks unquoted.
+    A quarter of the quoted texts lose their last closing quote: those
+    must fail, on that quote if nothing else is wrong."""
     width = draw(st.integers(1, 4))
     hostile = draw(st.booleans())
     cell = tokens if hostile else score_texts
@@ -98,18 +101,24 @@ def csv_texts(draw):
     if hostile or shape == "shapeless":
         rows += draw(st.lists(st.lists(tokens, max_size=width + 2),
                               max_size=3))
+    expect = None
     if hostile and draw(st.booleans()):
         # raw joins: stray quotes and embedded line breaks stay as drawn
         text = "\n".join(",".join(row) for row in [header, *rows])
     else:
-        text = _quote_all([header, *rows],
-                          draw(st.sampled_from(["\n", "\r\n"])))
-    return draw(st.sampled_from(["", "\ufeff"])) + text
+        end = draw(st.sampled_from(["\n", "\r\n"]))
+        text = _quote_all([header, *rows], end)
+        if draw(st.integers(0, 3)) == 0:
+            text = text[:-len(end) - 1] + draw(st.sampled_from(["", end]))
+            expect = ("" if hostile or shape == "shapeless"
+                      else "quoted field not closed before the end")
+    return draw(st.sampled_from(["", "\ufeff"])) + text, expect
 
 
 @settings(deadline=None)  # each example writes files
 @given(csv_texts())
-def test_commands_never_fail_internally_and_write_only_xml(text):
+def test_commands_never_fail_internally_and_write_only_xml(drawn):
+    text, expect = drawn
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "in.csv"
         src.write_text(text, encoding="utf-8")
@@ -122,5 +131,7 @@ def test_commands_never_fail_internally_and_write_only_xml(text):
                     contextlib.redirect_stderr(err):
                 code = run([*command, "-i", str(src), "-o", str(out)])
             assert code in (0, 1, 2), err.getvalue()
+            if expect is not None:  # never read as if the quote closed
+                assert code == 2 and expect in err.getvalue()
             for svg in out.glob("*.svg"):
                 ET.fromstring(svg.read_text(encoding="utf-8"))

@@ -359,6 +359,45 @@ def test_greedy_matches_scalar_reference(matrix, data):
                         matrix, size, mode, variant)
 
 
+@settings(deadline=None)
+@given(matrix=tied_matrices(), mode=st.sampled_from(["max", "min"]),
+       variant=st.sampled_from(["nth-root", "literal-sqrt"]))
+def test_greedy_extend_chain_matches_scalar_reference(matrix, mode, variant):
+    """Each size grown from the result of the size before equals a fresh
+    scalar greedy search, count included."""
+    res = None
+    for size in range(2, len(matrix.datasets) + 1):
+        res = greedy_search(matrix, size, mode, variant, extend=res)
+        assert (res.best.datasets, res.best.score,
+                res.candidates_evaluated) == _scalar_greedy(
+                    matrix, size, mode, variant)
+
+
+def test_greedy_extend_errors(fixture_matrix):
+    pair = greedy_search(fixture_matrix, 2)
+    triple = greedy_search(fixture_matrix, 3, extend=pair)
+    with pytest.raises(ValueError, match="cannot extend a max/nth-root "
+                                         "result in a min/nth-root search"):
+        greedy_search(fixture_matrix, 3, "min", extend=pair)
+    with pytest.raises(ValueError, match="in a max/literal-sqrt search"):
+        greedy_search(fixture_matrix, 3, variant="literal-sqrt", extend=pair)
+    with pytest.raises(ValueError, match="size-3 result to size 2"):
+        greedy_search(fixture_matrix, 2, extend=triple)
+    with pytest.raises(ValueError, match="not a greedy result"):
+        greedy_search(fixture_matrix, 4,
+                      extend=exhaustive_search(fixture_matrix, 3))
+    # "gappy" is complete here and has a gap in TRIANGLE
+    corners = greedy_search(make_matrix(
+        {"a": [0.0, 0.0], "b": [0.5, 0.4], "gappy": [1.0, 1.0]}), 2)
+    assert corners.best.datasets == ("a", "gappy")
+    with pytest.raises(ValueError, match="not complete rows"):
+        greedy_search(make_matrix(TRIANGLE), 3, extend=corners)
+    # the exhaustive best pair is the greedy pair; an equal size is kept
+    assert greedy_search(fixture_matrix, 3,
+                         extend=exhaustive_search(fixture_matrix, 2)) == triple
+    assert greedy_search(fixture_matrix, 3, extend=triple) == triple
+
+
 @st.composite
 def float_matrices(draw):
     """Small matrices of arbitrary scores in [0, 1]."""
