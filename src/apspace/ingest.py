@@ -8,12 +8,15 @@ Two shapes are supported:
 A missing result is an empty field or the literal ``NaN`` (case-sensitive)
 on input and an empty field on output.  Parsers fail fast with 1-based line
 numbers; writers emit shortest-round-trip floats so parse(write(m)) == m.
+
+Every CSV text, the user's input and the bundled fixtures alike, is read
+through :func:`_reader`, which owns the checks on the text itself: a BOM,
+NUL characters, an unclosed quote and the csv module's own faults.
 """
 
 import csv
 import io
 from dataclasses import dataclass
-from functools import wraps
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -74,7 +77,10 @@ def _reader(text: str) -> tuple[Iterator[tuple[int, list[str]]],
     close there.  The reader returns a row as soon as it is complete, so
     a row it returns after asking for input past the last line is one
     whose quote was never closed.  (``strict=True`` would refuse that
-    too, but also ``"0.2"5``, which reads as ``0.25``.)"""
+    too, but also ``"0.2"5``, which reads as ``0.25``.)  A fault the csv
+    module raises itself, such as a field over its size limit, is
+    reported as ``cannot read CSV: <its message>``.  Each of these is a
+    :class:`MalformedRowError`."""
     if "\x00" in text:
         raise MalformedRowError("cannot read CSV: it contains a NUL character")
     ended = []
@@ -85,31 +91,22 @@ def _reader(text: str) -> tuple[Iterator[tuple[int, list[str]]],
 
     def read():
         rdr, start = csv.reader(lines()), 1
-        for row in rdr:
-            if ended:
-                raise MalformedRowError(f"line {start}: quoted field not "
-                                        "closed before the end of the input")
-            yield rdr.line_num, row
-            start = rdr.line_num + 1
+        try:
+            for row in rdr:
+                if ended:
+                    raise MalformedRowError(
+                        f"line {start}: quoted field not closed before the "
+                        "end of the input")
+                yield rdr.line_num, row
+                start = rdr.line_num + 1
+        except csv.Error as exc:
+            raise MalformedRowError(f"cannot read CSV: {exc}") from None
 
     rows = read()
     header = next(rows, (0, None))[1]
     return rows, header and [cell.strip() for cell in header]
 
 
-def _csv_faults_as_row_errors(parse):
-    """Report a fault the csv module raises itself, such as a field over
-    its size limit, as a :class:`MalformedRowError`."""
-    @wraps(parse)
-    def checked(*args, **kwargs) -> PerformanceMatrix:
-        try:
-            return parse(*args, **kwargs)
-        except csv.Error as exc:
-            raise MalformedRowError(f"cannot read CSV: {exc}") from None
-    return checked
-
-
-@_csv_faults_as_row_errors
 def parse_csv(text: str, fmt: str = "auto") -> PerformanceMatrix:
     """Parse either shape; ``fmt="auto"`` reads the header as CSV and
     picks long when it is ``dataset,algorithm,score``, else wide."""
@@ -122,7 +119,6 @@ def parse_csv(text: str, fmt: str = "auto") -> PerformanceMatrix:
     raise ValueError(f"unknown input format {fmt!r}")
 
 
-@_csv_faults_as_row_errors
 def parse_long(text: str) -> PerformanceMatrix:
     """Parse ``dataset,algorithm,score`` rows into a matrix.
 
@@ -147,7 +143,6 @@ def parse_long(text: str) -> PerformanceMatrix:
     return build_matrix(records)
 
 
-@_csv_faults_as_row_errors
 def parse_wide(text: str) -> PerformanceMatrix:
     """Parse one-row-per-dataset CSV into a matrix.
 
@@ -255,6 +250,12 @@ def fixture_path(name: str = "thesis_results.csv") -> Path:
     return _FIXTURE_DIR / name
 
 
+def _fixture_rows(name: str) -> Iterator[list[str]]:
+    """The non-blank rows after the header of a bundled fixture CSV."""
+    rows, _ = _reader(fixture_path(name).read_text(encoding="utf-8"))
+    return (row for _, row in rows if row)
+
+
 def load_thesis_matrix() -> PerformanceMatrix:
     """The bundled 71-dataset x 5-algorithm nDCG@10 matrix."""
     text = fixture_path("thesis_scores.csv").read_text(encoding="utf-8")
@@ -266,25 +267,14 @@ def load_thesis_metric_columns() -> dict[str, tuple[float, float | None]]:
 
     Variance is ``None`` where fewer than two results existed.
     """
-    text = fixture_path("thesis_results.csv").read_text(encoding="utf-8")
-    rdr = csv.reader(io.StringIO(text))
-    next(rdr)
-    out: dict[str, tuple[float, float | None]] = {}
-    for row in rdr:
-        if not row:
-            continue
-        difficulty = float(row[6])
-        variance = None if row[7] == "NaN" else float(row[7])
-        out[row[0]] = (difficulty, variance)
-    return out
+    return {row[0]: (float(row[6]), None if row[7] == "NaN" else float(row[7]))
+            for row in _fixture_rows("thesis_results.csv")}
 
 
 def load_thesis_metadata() -> list[tuple[str, int, int, int]]:
     """Corpus metadata rows: (dataset, interactions, users, items)."""
-    text = fixture_path("thesis_datasets.csv").read_text(encoding="utf-8")
-    rdr = csv.reader(io.StringIO(text))
-    next(rdr)
-    return [(r[0], int(r[1]), int(r[2]), int(r[3])) for r in rdr if r]
+    return [(r[0], int(r[1]), int(r[2]), int(r[3]))
+            for r in _fixture_rows("thesis_datasets.csv")]
 
 
 __all__ = [

@@ -325,15 +325,18 @@ def _prepare(matrix: PerformanceMatrix, size: int, mode: str, variant: str,
         if not set(extend.best.datasets) <= set(names):
             raise ValueError("the result to extend names datasets that are "
                              "not complete rows of this matrix")
-        n = len(names)
-        if extend.candidates_evaluated != math.comb(n, 2) + sum(
-                n - s for s in range(2, extend.size)):
+        if extend.candidates_evaluated != _greedy_count(len(names),
+                                                        extend.size):
             raise ValueError("the result to extend is not a greedy result "
                              "over this matrix's complete rows")
     sign = -1.0 if mode == "max" else 1.0
     points = matrix.values[rows]
     return (names, points,
             partial(_ranker, points, matrix.n_algorithms, variant, sign))
+
+
+def _greedy_count(n: int, size: int) -> int:
+    return math.comb(n, 2) + sum(n - s for s in range(2, size))
 
 
 def exhaustive_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
@@ -387,15 +390,12 @@ def greedy_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
     n = len(names)
     if extend is None:
         [((_, subset), score)] = top_of(_prefix_blocks(n, 2), 1)
-        evaluated = math.comb(n, 2)
     else:
         subset = tuple(map(names.index, extend.best.datasets))
-        score, evaluated = extend.best.score, extend.candidates_evaluated
+        score = extend.best.score
     while len(subset) < size:
-        evaluated += n - len(subset)
         skip = np.isin(np.arange(n), subset)[None]
         [((_, subset), score)] = top_of([(np.array([subset]), 0, skip)], 1)
-    top = (Selection(datasets=tuple(names[i] for i in subset), score=score,
-                     rank=1),)
+    top = (Selection(tuple(names[i] for i in subset), score, rank=1),)
     return SearchResult(mode=mode, size=size, variant=variant,
-                        candidates_evaluated=evaluated, top=top)
+                        candidates_evaluated=_greedy_count(n, size), top=top)

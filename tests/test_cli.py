@@ -383,6 +383,16 @@ def test_unwritable_output_dir_is_a_user_error(tmp_path, capsys):
     assert "internal error" not in err
 
 
+def test_failed_write_leaves_no_temp_file(outdir, capsys):
+    target = outdir / "metrics.csv"
+    target.mkdir(parents=True)
+    (target / "keep").write_text("", encoding="utf-8")
+    assert run(["metrics", "-i", FIXTURE, "-o", str(outdir)]) == 1
+    assert f"error: cannot write {target}: " in capsys.readouterr().err
+    assert sorted(p.name for p in outdir.iterdir()) == ["metrics.csv"]
+    assert list(target.iterdir()) == [target / "keep"]
+
+
 @pytest.mark.parametrize("key, flag, message", [
     ("input_format", "--format",
      "invalid input format 'bogus' (choose from auto, long, wide)"),
@@ -478,6 +488,18 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg.write_text("speed = 11\n", encoding="utf-8")
     assert run(["validate", "--config", str(cfg), "-i", FIXTURE]) == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_config_file_missing_or_without_equals(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert run(["validate", "--config", str(missing), "-i", FIXTURE]) == 1
+    assert f"error: cannot read config file {missing}: " in (
+        capsys.readouterr().err)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# comment\n\ninput_format long\n", encoding="utf-8")
+    assert run(["validate", "--config", str(cfg), "-i", FIXTURE]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:3: expected 'key = value'\n")
 
 
 def test_env_output_dir_and_override(tmp_path, monkeypatch):

@@ -8,8 +8,9 @@ from apspace.core import (DuplicateCellError, EmptyRowError,
                           ScoreOutOfRangeError, build_matrix)
 from apspace.ingest import (MalformedHeaderError, MalformedRowError,
                             RaggedRowError, fixture_path,
-                            load_thesis_metadata, parse_csv, parse_long,
-                            parse_wide, validate, write_long, write_wide)
+                            load_thesis_metadata, load_thesis_metric_columns,
+                            parse_csv, parse_long, parse_wide, validate,
+                            write_long, write_wide)
 
 LONG_SAMPLE = "dataset,algorithm,score\nJester,MultiVAE,0.5023\n"
 
@@ -45,6 +46,12 @@ def test_parse_long_field_count_reports_line():
 def test_parse_long_unparsable_score(cell):
     with pytest.raises(MalformedRowError, match="line 2"):
         parse_long(f"dataset,algorithm,score\nd,a,{cell}\n")
+
+
+def test_parse_long_blank_name_reports_line():
+    with pytest.raises(MalformedRowError) as info:
+        parse_long("dataset,algorithm,score\nd1,A,0.5\nd1,B,0.4\nd2, ,0.5\n")
+    assert str(info.value) == "line 4: empty name field"
 
 
 def test_parse_long_out_of_range_score():
@@ -117,6 +124,8 @@ def test_parse_wide_all_missing_row():
      DuplicateCellError, "duplicate cell for dataset 'd2', algorithm 'A'"),
     ("dataset,A,B\nd2,0.3,0.1\nd1,,NaN\nd3,,\n", EmptyRowError,
      "dataset 'd1' has no present scores"),
+    # a header with no algorithm columns leaves every data row empty
+    ("dataset\nd1\n", EmptyRowError, "dataset 'd1' has no present scores"),
 ])
 def test_parse_wide_error_precedence(text, error, message):
     with pytest.raises(error) as info:
@@ -155,6 +164,8 @@ def test_parse_skips_blank_lines_and_crlf_and_bom():
     text = "﻿dataset,a\r\n\r\nd1,0.5\r\n"
     m = parse_wide(text)
     assert m.cells == ((0.5,),)
+    long = "﻿dataset,algorithm,score\r\n\r\nd1,a,0.5\r\n"
+    assert parse_long(long) == m
 
 
 def test_write_wide_fixture_line_count(fixture_matrix):
@@ -199,6 +210,47 @@ def test_nul_is_refused_the_same_way_everywhere(text):
             parse(text)
         assert str(info.value) == (
             "cannot read CSV: it contains a NUL character")
+
+
+BIG = "x" * 131_073  # one over the csv module's default field limit
+
+
+@pytest.mark.parametrize("parse, text", [
+    *((parse, f"dataset,{BIG}\nd1,0.5\n")
+      for parse in (parse_csv, parse_long, parse_wide)),
+    *((parse, f"dataset,a\nd1,{BIG}\n") for parse in (parse_csv, parse_wide)),
+    *((parse, f"dataset,algorithm,score\nd1,a,{BIG}\n")
+      for parse in (parse_csv, parse_long)),
+], ids=["header-auto", "header-long", "header-wide", "row-auto-wide",
+        "row-wide", "row-auto-long", "row-long"])
+def test_field_over_the_size_limit_is_a_row_error(parse, text):
+    with pytest.raises(MalformedRowError) as info:
+        parse(text)
+    assert str(info.value) == (
+        "cannot read CSV: field larger than field limit (131072)")
+
+
+def _quote_last_field(text):
+    head, _, last = text.rstrip("\n").rpartition(",")
+    return f'{head},"{last}\n'
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (_quote_last_field, "quoted field not closed before the end of the input"),
+    (lambda text: text.replace("Yelp", "Ye\x00lp"),
+     "cannot read CSV: it contains a NUL character"),
+], ids=["open-quote", "nul"])
+@pytest.mark.parametrize("load, name", [
+    (load_thesis_metric_columns, "thesis_results.csv"),
+    (load_thesis_metadata, "thesis_datasets.csv"),
+], ids=["metric-columns", "metadata"])
+def test_fixture_loaders_read_through_the_checked_reader(
+        tmp_path, monkeypatch, load, name, spoil, message):
+    text = fixture_path(name).read_text(encoding="utf-8")
+    (tmp_path / name).write_text(spoil(text), encoding="utf-8")
+    monkeypatch.setattr("apspace.ingest.fixture_path", tmp_path.joinpath)
+    with pytest.raises(MalformedRowError, match=message):
+        load()
 
 
 def test_round_trip_random_matrices(rng):
