@@ -131,22 +131,30 @@ def _block_keyer(P, n_axes, variant, sign):
     of ``metrics._evaluate`` over the points ``P``.  Each prefix's
     bounding box and its sums ``S1``/``S2`` of distances and squared
     distances are computed once for all its extensions; the distance
-    variance is ``S2/m - (S1/m)**2``, clipped at 0."""
-    D = np.zeros((len(P), len(P)))
-    for col in P.T:  # one n x n temporary per axis, not n x n x axes
-        D += (col[:, None] - col[None, :]) ** 2
-    np.sqrt(D, out=D)
+    variance is ``S2/m - (S1/m)**2``, clipped at 0.
+
+    A block reads only the distances it needs.  A pair block (prefixes
+    of one row) reads none: one distance has variance exactly 0, so its
+    key is ``sign * coverage``, the bits the formula gives.  A block of
+    one prefix, such as greedy's addition step, computes that prefix's
+    rows of distances, ``(k - 1) x n``.  A block of many prefixes, as
+    every exhaustive scan gives, reads the n x n distance matrix, built
+    on the first such block and kept.  Every distance sums the same
+    terms in axis order, so the keys do not depend on which of these
+    paths computed them."""
     PT = P.T.copy()
+    full = None  # the n x n distance matrix, once a block needs it
+
+    def distances(rows):
+        """Distances from each of the points ``rows`` to every point."""
+        out = np.zeros((len(rows), len(P)))
+        for axis, col in enumerate(PT):  # one rows x n temporary per axis
+            out += (rows[:, axis, None] - col[None, :]) ** 2
+        return np.sqrt(out, out=out)
 
     def keys(pre, start):
+        nonlocal full
         cols = pre.T
-        m = math.comb(len(cols) + 1, 2)
-        inner = D[cols[:, None], cols]  # each prefix pair twice
-        outer = D[cols, start:]
-        s1 = inner.sum(axis=(0, 1))[:, None] / 2 + outer.sum(axis=0)
-        outer *= outer
-        s2 = (inner * inner).sum(axis=(0, 1))[:, None] / 2 + outer.sum(axis=0)
-        var_d = np.maximum(s2 / m - (s1 / m) ** 2, 0.0)
         box = PT[:, cols]
         ends = PT[:, None, start:]
         span = np.maximum(box.max(axis=1)[..., None], ends)
@@ -154,6 +162,21 @@ def _block_keyer(P, n_axes, variant, sign):
         vol = span.prod(axis=0)
         coverage = (np.sqrt(vol) if variant == "literal-sqrt"
                     else vol ** (1.0 / n_axes))
+        if len(cols) == 1:
+            return sign * coverage
+        if len(pre) == 1:  # row r of D: the prefix's r-th point
+            D, at = distances(P[pre[0]]), np.arange(len(cols))[:, None]
+        else:
+            if full is None:
+                full = distances(P)
+            D, at = full, cols
+        m = math.comb(len(cols) + 1, 2)
+        inner = D[at[:, None], cols]  # each prefix pair twice
+        outer = D[at, start:]
+        s1 = inner.sum(axis=(0, 1))[:, None] / 2 + outer.sum(axis=0)
+        outer *= outer
+        s2 = (inner * inner).sum(axis=(0, 1))[:, None] / 2 + outer.sum(axis=0)
+        var_d = np.maximum(s2 / m - (s1 / m) ** 2, 0.0)
         return sign * (1.0 - var_d / (n_axes / 4.0)) * coverage
 
     return keys
@@ -381,9 +404,11 @@ def greedy_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
     function returned for the same matrix, mode and variant and a size
     no larger, the search starts from that subset and runs only the
     remaining additions; the result is the one a fresh search gives.
-    No optimality guarantee; on the bundled fixture it lands within a
-    few percent of the true optimum in max mode.  Same determinism
-    rules as the exhaustive search.
+    The pair step reads no distances and each addition reads only its
+    subset's rows of them, so memory grows with n times the number of
+    axes, not n².  No optimality guarantee; on the bundled fixture it
+    lands within a few percent of the true optimum in max mode.  Same
+    determinism rules as the exhaustive search.
     """
     names, _, ranker = _prepare(matrix, size, mode, variant, extend)
     top_of = ranker()

@@ -415,7 +415,12 @@ def test_block_keys_match_scalar_scores(matrix, data, batch):
     """Every candidate key of the prefix kernel is within 1e-12 of the
     scalar score, far inside the re-scoring band ``_TIE_TOL``: over the
     exhaustive blocks, which hold each subset exactly once, and over a
-    greedy block, whose extensions also lie below its prefix."""
+    greedy block, whose extensions also lie below its prefix.
+
+    The greedy block reads its prefix's own rows of distances, a block
+    of many prefixes the n x n matrix; both give the same keys, before
+    and after that matrix is built.  A pair block reads no distance: one
+    distance has variance exactly 0, so its key is ``sign * coverage``."""
     names = _complete_names(matrix)
     P = matrix.values[[matrix.dataset_index(d) for d in names]]
     n, n_axes = P.shape
@@ -423,24 +428,36 @@ def test_block_keys_match_scalar_scores(matrix, data, batch):
     subset = sorted(data.draw(st.lists(st.integers(0, n - 1), unique=True,
                                        min_size=size - 1,
                                        max_size=size - 1)))
+    pair = data.draw(st.lists(st.sampled_from(names), min_size=2, max_size=2,
+                              unique=True))
+    assert score_selection(matrix, pair).distance_variance == 0.0
     with mock.patch.object(search, "_BATCH", batch):
         blocks = list(search._prefix_blocks(n, size))
     greedy = (np.array([subset]), 0, np.isin(np.arange(n), subset)[None])
     for sign in (-1.0, 1.0):
         for variant in ("nth-root", "literal-sqrt"):
             keys_of = search._block_keyer(P, n_axes, variant, sign)
+            before = keys_of(*greedy[:2])
             seen = []
             for pre, start, skip in [greedy, *blocks]:
                 keys = keys_of(pre, start)
+                vol = np.zeros_like(keys)
                 for b, w in zip(*np.nonzero(~skip)):
                     idx = tuple(sorted([*pre[b].tolist(), start + int(w)]))
-                    want = _evaluate(P[list(idx)].tolist(), n_axes,
-                                     variant)[5]
+                    *_, vol[b, w], want = _evaluate(P[list(idx)].tolist(),
+                                                    n_axes, variant)
                     assert abs(keys[b, w] - sign * want) <= 1e-12
                     seen.append(idx)
+                if size == 2:
+                    coverage = (np.sqrt(vol) if variant == "literal-sqrt"
+                                else vol ** (1.0 / n_axes))
+                    assert (keys[~skip] == sign * coverage[~skip]).all()
             # after the greedy block's candidates, every subset once
             assert sorted(seen[n - size + 1:]) == list(
                 combinations(range(n), size))
+            twice = keys_of(np.array([subset, subset]), 0)
+            assert (twice == before).all()
+            assert (keys_of(*greedy[:2]) == before).all()
 
 
 @pytest.mark.parametrize("batch", [search._BATCH, 7])
@@ -485,6 +502,20 @@ def test_exhaustive_memory_does_not_grow_with_candidates(rng):
             tracemalloc.stop()
     assert peaks[4] < 2 * 2**20
     assert peaks[4] < 2 * peaks[3]
+
+
+def test_greedy_memory_is_linear_in_rows(rng):
+    """Greedy's pair and addition steps read no n x n distance matrix:
+    on 1,000 rows, 8 MB of it, the whole search peaks under 2 MB."""
+    m = random_matrix(rng, 1000, 4)
+    tracemalloc.start()
+    try:
+        pair = greedy_search(m, 2)
+        greedy_search(m, 3, extend=pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_bounded_search_memory_when_nothing_prunes():
