@@ -6,9 +6,11 @@ explicit instead of being imputed or clamped so downstream consumers can
 decide how to treat them.
 """
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
+from functools import cached_property, reduce
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -124,6 +126,52 @@ class PerformanceMatrix:
         return bool(self.complete[self.dataset_index(dataset)])
 
 
+def left_sum(terms):
+    """The sum of ``terms`` added one after another, left to right, from
+    ``+0.0``; each term may be a float or an array.
+
+    This is the order ``sum()`` adds floats in up to Python 3.11.  From
+    3.12 ``sum()`` compensates its rounding (``sum([0.1] * 10)`` is
+    ``1.0`` there, ``0.9999999999999999`` here), so every float sum this
+    package reports goes through this one helper, and the scalar and the
+    bulk paths agree bit for bit on every supported Python.
+    """
+    return reduce(operator.add, terms, 0.0)
+
+
+@dataclass(frozen=True)
+class Grid:
+    """(dataset, algorithm, score) records laid out as a wide table:
+    ``cells[i][j]`` is the score (a float or ``None``) of
+    ``algorithms[j]`` on ``datasets[i]``, and every row has one cell per
+    algorithm.
+
+    Sized and iterable like the list of its records: ``len`` is the cell
+    count, and iteration yields the triples row by row, in column order.
+    :func:`build_matrix` checks a grid in bulk.
+    """
+
+    datasets: Sequence[str]
+    algorithms: Sequence[str]
+    cells: Sequence[Sequence[Score]]
+
+    def __len__(self) -> int:
+        return len(self.datasets) * len(self.algorithms)
+
+    def __iter__(self) -> Iterator[tuple[str, str, Score]]:
+        for dataset, row in zip(self.datasets, self.cells):
+            yield from zip(repeat(dataset), self.algorithms, row)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The cells as a read-only float64 array, NaN for each ``None``
+        (and for each float NaN)."""
+        arr = np.array(self.cells, dtype=float).reshape(
+            len(self.datasets), len(self.algorithms))
+        arr.flags.writeable = False
+        return arr
+
+
 def _check_label(label: str, kind: str) -> str:
     if not isinstance(label, str) or not label or label != label.strip():
         raise InvalidLabelError(f"bad {kind} name {label!r}: must be non-empty "
@@ -135,6 +183,33 @@ def _check_label(label: str, kind: str) -> str:
     return label
 
 
+def _sound_grid(grid: Grid) -> PerformanceMatrix | None:
+    """The matrix of ``grid`` when the record loop of :func:`build_matrix`
+    would accept every record of it, else ``None``.  The matrix keeps the
+    grid's float view as its ``values``."""
+    try:
+        for label in grid.datasets:
+            _check_label(label, "dataset")
+        for label in grid.algorithms:
+            _check_label(label, "algorithm")
+    except InvalidLabelError:
+        return None
+    values = grid.values
+    gaps = sum(row.count(None) for row in grid.cells)
+    # NaN, a gap or a float NaN, is never in range: every cell that is
+    # not a gap must be
+    in_range = np.count_nonzero((values >= 0.0) & (values <= 1.0))
+    if (len(set(grid.datasets)) < len(grid.datasets)
+            or len(set(grid.algorithms)) < len(grid.algorithms)
+            or in_range + gaps != values.size
+            or np.isnan(values).all(axis=1).any()):
+        return None
+    matrix = PerformanceMatrix(tuple(grid.algorithms), tuple(grid.datasets),
+                               tuple(map(tuple, grid.cells)))
+    vars(matrix)["values"] = values   # the cached float view of the cells
+    return matrix
+
+
 def build_matrix(records: Iterable[tuple[str, str, Score]]) -> PerformanceMatrix:
     """Assemble a matrix from (dataset, algorithm, score) triples.
 
@@ -143,7 +218,17 @@ def build_matrix(records: Iterable[tuple[str, str, Score]]) -> PerformanceMatrix
     pair, :class:`ScoreOutOfRangeError` for values outside [0, 1] (they
     are rejected, never clamped), and :class:`EmptyRowError` if a dataset
     ends up with no present score.
+
+    A :class:`Grid` is checked in bulk: each label once, uniqueness by
+    sets, range and empty rows on its float view.  Only when a bulk
+    check fails are its records replayed one by one through the loop
+    below, which raises the first error in record order, as it does for
+    any other iterable.
     """
+    if isinstance(records, Grid):
+        matrix = _sound_grid(records)
+        if matrix is not None:
+            return matrix
     rows: dict[str, dict[str, Score]] = {}   # dataset -> {algorithm: score}
     algorithms: dict[str, None] = {}         # insertion-ordered set
     for dataset, algorithm, score in records:

@@ -17,11 +17,13 @@ NUL characters, an unclosed quote and the csv module's own faults.
 import csv
 import io
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .core import (ApsError, EmptyRowError, PerformanceMatrix, Score,
+import numpy as np
+
+from .core import (ApsError, EmptyRowError, Grid, PerformanceMatrix, Score,
                    build_matrix)
 
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -149,13 +151,22 @@ def parse_wide(text: str) -> PerformanceMatrix:
     The header's first cell must be ``dataset``; the remaining cells name
     the algorithm columns (zero columns is allowed so degenerate matrices
     round-trip).  Every row must match the header width.
+
+    Each row's scores are read with ``float`` alone.  A row it cannot
+    read, and a row where it gave a NaN (``" NaN "`` is a gap, ``nan`` a
+    number out of range), is read again cell by cell as
+    :func:`parse_long` reads a score, so the messages and the gaps are
+    the same in both shapes.  The rows go to :func:`build_matrix` as one
+    :class:`~apspace.core.Grid`, which it checks in bulk; only when a
+    check fails does it replay the grid record by record, so the first
+    fault in file order is the one reported.
     """
     rows, header = _reader(text)
     if not header or header[0] != "dataset":
         raise MalformedHeaderError(
             f"expected wide header starting with 'dataset', got {header!r}")
     algorithms = header[1:]
-    records = []
+    datasets, cells = [], []
     for line, row in rows:
         if not row:
             continue
@@ -168,12 +179,27 @@ def parse_wide(text: str) -> PerformanceMatrix:
             raise MalformedRowError(f"line {line}: empty dataset name")
         if not algorithms:
             raise EmptyRowError(f"dataset {dataset!r} has no present scores")
-        records += zip(repeat(dataset), algorithms,
-                       [_parse_score(cell, line) for cell in row[1:]])
-    if not records:
+        datasets.append(dataset)
+        try:
+            cells.append([None if c == "" or c == "NaN" else float(c)
+                          for c in row[1:]])
+        except ValueError:
+            cells.append([_parse_score(c, line) for c in row[1:]])
+    if not cells:
         # header-only input: keep the column set so parse(write(m)) == m
         return PerformanceMatrix(tuple(algorithms), (), ())
-    return build_matrix(records)
+    grid = Grid(datasets, algorithms, cells)
+    # float() reads " NaN " (a gap) and "nan" (a number) alike, as NaN
+    nan_rows = np.flatnonzero(np.isnan(grid.values).sum(axis=1)
+                              != [row.count(None) for row in cells])
+    if nan_rows.size:
+        # rare: read the text again rather than keep every row's strings
+        again = [(line, row) for line, row in _reader(text)[0] if row]
+        for i in nan_rows:
+            line, row = again[i]
+            cells[i] = [_parse_score(c, line) for c in row[1:]]
+        grid = Grid(datasets, algorithms, cells)
+    return build_matrix(grid)
 
 
 def _format_score(value: Score) -> str:
@@ -221,12 +247,12 @@ def validate(matrix: PerformanceMatrix) -> ValidationReport:
     defined variance; an incomplete dataset is excluded from subset
     search by default.
     """
-    present = sum(v is not None for row in matrix.cells for v in row)
+    counts = matrix.n_algorithms - np.isnan(matrix.values).sum(axis=1)
+    present = int(counts.sum())
     total = matrix.n_datasets * matrix.n_algorithms
     warnings = []
-    for dataset, row, complete in zip(matrix.datasets, matrix.cells,
-                                      matrix.complete):
-        n_present = sum(v is not None for v in row)
+    for dataset, n_present, complete in zip(matrix.datasets, counts.tolist(),
+                                            matrix.complete):
         if n_present == 1 and matrix.n_algorithms > 1:
             warnings.append(
                 f"dataset {dataset!r} has a single present score; "

@@ -10,7 +10,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .core import ApsError, PerformanceMatrix, Score
+import numpy as np
+
+from .core import ApsError, PerformanceMatrix, Score, left_sum
 
 DIFFICULTY_ORIENTATIONS = ("one-minus-mean", "raw-mean")
 DIVERSITY_VARIANTS = ("nth-root", "literal-sqrt")
@@ -45,7 +47,7 @@ def difficulty(row: Sequence[Score], orientation: str = "one-minus-mean") -> flo
     present = [v for v in row if v is not None]
     if not present:
         raise NoDataError("difficulty needs at least one present score")
-    mean = sum(present) / len(present)
+    mean = left_sum(present) / len(present)
     return mean if orientation == "raw-mean" else 1.0 - mean
 
 
@@ -60,7 +62,7 @@ def variance(row: Sequence[Score]) -> float | None:
     if len(present) < 2:
         return None
     gaps = [abs(a - b) for a, b in combinations(present, 2)]
-    return sum(gaps) / len(gaps)
+    return left_sum(gaps) / len(gaps)
 
 
 def _check_variant(variant: str) -> None:
@@ -111,8 +113,8 @@ def _evaluate(vecs: Sequence[Sequence[float]], n_axes: int, variant: str):
     """
     dists = [math.dist(vecs[i], vecs[j])
              for i, j in combinations(range(len(vecs)), 2)]
-    mu = sum(dists) / len(dists)
-    var_d = sum((d - mu) ** 2 for d in dists) / len(dists)
+    mu = left_sum(dists) / len(dists)
+    var_d = left_sum((d - mu) ** 2 for d in dists) / len(dists)
     ranges = [max(v[j] for v in vecs) - min(v[j] for v in vecs)
               for j in range(n_axes)]
     vol = math.prod(ranges)
@@ -177,7 +179,7 @@ class MetricReport:
 
     @property
     def mean_difficulty(self) -> float:
-        return sum(self._difficulties()) / len(self.rows)
+        return left_sum(self._difficulties()) / len(self.rows)
 
     @property
     def median_difficulty(self) -> float:
@@ -186,15 +188,37 @@ class MetricReport:
         return vals[m] if len(vals) % 2 else (vals[m - 1] + vals[m]) / 2.0
 
 
+def _gap_as_zero(x: np.ndarray) -> np.ndarray:
+    """``x`` with each NaN (a gap) as ``+0.0``.  A sum from ``+0.0`` of
+    finite terms never reaches ``-0.0``, so adding one changes nothing."""
+    return np.where(np.isnan(x), 0.0, x)
+
+
 def metric_table(matrix: PerformanceMatrix,
                  orientation: str = "one-minus-mean") -> MetricReport:
-    """Difficulty and Variance for every dataset, in matrix row order."""
-    rows = []
-    for dataset, row in zip(matrix.datasets, matrix.cells):
-        rows.append(MetricRow(
-            dataset=dataset,
-            difficulty=difficulty(row, orientation),
-            variance=variance(row),
-            present_count=sum(v is not None for v in row),
-        ))
-    return MetricReport(orientation=orientation, rows=tuple(rows))
+    """Difficulty and Variance for every dataset, in matrix row order.
+
+    Every row is summarised at once from ``matrix.values``.  Each row's
+    present scores, and their gaps pair by pair in
+    ``itertools.combinations`` order, are added column by column from
+    ``+0.0``, the order :func:`difficulty` and :func:`variance` add in,
+    so each number equals theirs bit for bit.  Memory stays linear in
+    the row count.
+    """
+    if orientation not in DIFFICULTY_ORIENTATIONS:
+        raise ValueError(f"unknown orientation {orientation!r}")
+    columns = matrix.values.T
+    present = matrix.n_algorithms - np.isnan(columns).sum(axis=0)
+    if not present.all():
+        raise NoDataError("difficulty needs at least one present score")
+    mean = left_sum(map(_gap_as_zero, columns)) / present
+    gaps = left_sum(_gap_as_zero(abs(a - b))
+                    for a, b in combinations(columns, 2))
+    pairs = present * (present - 1) // 2
+    gap_mean = gaps / np.maximum(pairs, 1)
+    difficulties = mean if orientation == "raw-mean" else 1.0 - mean
+    return MetricReport(orientation=orientation, rows=tuple(
+        MetricRow(dataset=dataset, difficulty=d,
+                  variance=v if n > 1 else None, present_count=n)
+        for dataset, d, v, n in zip(matrix.datasets, difficulties.tolist(),
+                                    gap_mean.tolist(), present.tolist())))

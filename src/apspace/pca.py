@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ApsError, LengthMismatchError, PerformanceMatrix
+from .core import (ApsError, LengthMismatchError, PerformanceMatrix,
+                   left_sum)
 
 IMPUTATION_MODES = ("complete-rows-only", "zero-fill", "mean-fill")
 
@@ -138,6 +139,15 @@ class PcaProjection:
     imputation: str
 
 
+def _column_means(values: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """The mean of each column's present values (``0.0`` where it has
+    none), each sum added row by row from ``+0.0`` as the scalar mean of
+    the column's present scores adds it.  A gap adds ``+0.0``, which
+    leaves a sum from ``+0.0`` unchanged."""
+    total = left_sum(np.where(gaps, 0.0, values))
+    return total / np.maximum(len(values) - gaps.sum(axis=0), 1)
+
+
 def pca_project(matrix: PerformanceMatrix, k: int = 2,
                 imputation: str = "complete-rows-only") -> PcaProjection:
     """Project datasets onto the top-k principal axes of their spread.
@@ -161,15 +171,11 @@ def pca_project(matrix: PerformanceMatrix, k: int = 2,
         names = [d for d, ok in zip(matrix.datasets, matrix.complete) if ok]
         x = matrix.values[matrix.complete]
     else:
-        fills = []
-        for j in range(n):
-            present = [row[j] for row in matrix.cells if row[j] is not None]
-            if imputation == "zero-fill" or not present:
-                fills.append(0.0)
-            else:
-                fills.append(sum(present) / len(present))
+        gaps = np.isnan(matrix.values)
+        fills = (_column_means(matrix.values, gaps)
+                 if imputation == "mean-fill" else 0.0)
         names = list(matrix.datasets)
-        x = np.where(np.isnan(matrix.values), fills, matrix.values)
+        x = np.where(gaps, fills, matrix.values)
     if len(x) < 2:
         raise TooFewRowsError(
             f"projection needs >= 2 usable rows, got {len(x)}")

@@ -12,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apspace.cli import run
-from apspace.core import build_matrix
-from apspace.ingest import parse_csv, write_long, write_wide
+from apspace.core import (ApsError, EmptyRowError, PerformanceMatrix,
+                          build_matrix)
+from apspace.ingest import (MalformedHeaderError, MalformedRowError,
+                            RaggedRowError, _parse_score, _reader, parse_csv,
+                            parse_wide, write_long, write_wide)
 
 _ODD_LABELS = ("a,b", 'say "hi"', '"', "line\nbreak", "cr\rreturn",
                "crlf\r\nend", "naïve", "漢字", "NaN", "nan", "dataset",
@@ -59,7 +62,8 @@ def test_write_then_parse_is_the_identity(m):
 
 score_texts = st.one_of(
     st.floats(0.0, 1.0).map(repr),
-    st.sampled_from(["", " ", "NaN", "-0.0", "1e-400", "0", " 0.25 ", "1"]))
+    st.sampled_from(["", " ", "NaN", " NaN ", "-0.0", "1e-400", "0",
+                     " 0.25 ", "1"]))
 tokens = st.one_of(labels, score_texts, st.sampled_from(
     ["nan", "inf", "-inf", "1.5", "-1", "1e308", "abc", '"', '"x',
      "a\x00b"]))
@@ -108,7 +112,8 @@ def csv_texts(draw):
     else:
         end = draw(st.sampled_from(["\n", "\r\n"]))
         text = _quote_all([header, *rows], end)
-        if draw(st.integers(0, 3)) == 0:
+        # an empty last row has no closing quote to lose
+        if [header, *rows][-1] and draw(st.integers(0, 3)) == 0:
             text = text[:-len(end) - 1] + draw(st.sampled_from(["", end]))
             expect = ("" if hostile or shape == "shapeless"
                       else "quoted field not closed before the end")
@@ -135,3 +140,48 @@ def test_commands_never_fail_internally_and_write_only_xml(drawn):
                 assert code == 2 and expect in err.getvalue()
             for svg in out.glob("*.svg"):
                 ET.fromstring(svg.read_text(encoding="utf-8"))
+
+
+def _parse_wide_per_record(text: str) -> PerformanceMatrix:
+    """``parse_wide`` one record at a time: every cell through
+    ``_parse_score``, and the records as a list, which ``build_matrix``
+    checks in its record loop."""
+    rows, header = _reader(text)
+    if not header or header[0] != "dataset":
+        raise MalformedHeaderError(
+            f"expected wide header starting with 'dataset', got {header!r}")
+    records = []
+    for line, row in rows:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise RaggedRowError(f"line {line}: expected {len(header)} "
+                                 f"fields, got {len(row)}")
+        dataset = row[0].strip()
+        if not dataset:
+            raise MalformedRowError(f"line {line}: empty dataset name")
+        if len(header) == 1:
+            raise EmptyRowError(f"dataset {dataset!r} has no present scores")
+        records += [(dataset, algorithm, _parse_score(cell, line))
+                    for algorithm, cell in zip(header[1:], row[1:])]
+    if not records:
+        return PerformanceMatrix(tuple(header[1:]), (), ())
+    return build_matrix(records)
+
+
+def _outcome(parse, text):
+    """The matrix, its cells by ``repr`` (cell types and the sign of
+    ``-0.0`` included) and its float view's bytes, or the error."""
+    try:
+        m = parse(text)
+    except ApsError as exc:
+        return type(exc), str(exc)
+    return m.algorithms, m.datasets, repr(m.cells), m.values.tobytes()
+
+
+@settings(deadline=None)
+@given(csv_texts())
+def test_parse_wide_bulk_path_matches_the_record_path(drawn):
+    text, _ = drawn
+    assert (_outcome(parse_wide, text)
+            == _outcome(_parse_wide_per_record, text))

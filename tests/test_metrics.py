@@ -1,13 +1,19 @@
 import math
 from itertools import permutations
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import make_matrix
-from apspace.ingest import parse_wide
-from apspace.metrics import (DimensionMismatchError, IncompletePointError,
-                             NoDataError, TooFewPointsError, difficulty,
-                             diversity, metric_table, variance)
+from apspace.core import left_sum
+from apspace.ingest import parse_wide, validate
+from apspace.metrics import (DIFFICULTY_ORIENTATIONS, DimensionMismatchError,
+                             IncompletePointError, NoDataError,
+                             TooFewPointsError, difficulty, diversity,
+                             metric_table, variance)
+from apspace.pca import _column_means
 
 
 # ---------------------------------------------------------------- difficulty
@@ -248,3 +254,66 @@ def test_empty_table_aggregates_raise_no_data():
         table.mean_difficulty
     with pytest.raises(NoDataError):
         table.median_difficulty
+
+
+def test_float_sums_add_left_to_right_on_every_python():
+    # sum() gives 1.0 here from Python 3.12 on
+    assert left_sum([0.1] * 10) == 0.9999999999999999
+    row = [0.1] * 10
+    assert difficulty(row, "raw-mean") == 0.9999999999999999 / 10
+    table = metric_table(make_matrix({"d": row}), "raw-mean")
+    assert table.rows[0].difficulty == 0.9999999999999999 / 10
+    assert table.mean_difficulty == 0.9999999999999999 / 10
+
+
+# the least subnormal and -0.0 test the order and the sign of each sum
+_scores = st.one_of(st.none(), st.floats(0.0, 1.0),
+                    st.sampled_from([-0.0, 5e-324, 0.1, 1.0]))
+
+
+@st.composite
+def _gappy_rows(draw):
+    # past 8 columns numpy's own sums would add in another order
+    width = draw(st.integers(1, 10))
+    return draw(st.lists(
+        st.lists(_scores, min_size=width, max_size=width)
+        .filter(lambda row: row.count(None) < width), max_size=10)), width
+
+
+def _scalar_mean(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
+@given(_gappy_rows(), st.sampled_from(DIFFICULTY_ORIENTATIONS))
+@example(([], 3), "one-minus-mean")                    # header only
+@example(([[0.3], [-0.0], [5e-324]], 1), "raw-mean")   # one column
+@example(([[None, 0.1, None], [5e-324, -0.0, None]], 3), "raw-mean")
+@example(([[-0.0, 0.5], [-0.0, None]], 2), "raw-mean")  # a -0.0 column
+def test_bulk_summaries_match_the_scalar_path_bit_for_bit(drawn, orientation):
+    rows, width = drawn
+    lines = [["dataset", *(f"a{j}" for j in range(width))]]
+    lines += [[f"d{i}", *("" if v is None else repr(v) for v in row)]
+              for i, row in enumerate(rows)]
+    m = parse_wide("".join(",".join(line) + "\n" for line in lines))
+    counts = [width - row.count(None) for row in m.cells]
+
+    table = metric_table(m, orientation)
+    assert [(r.dataset, repr(r.difficulty), repr(r.variance),
+             repr(r.present_count)) for r in table.rows] == [
+        (d, repr(difficulty(row, orientation)), repr(variance(row)), repr(n))
+        for d, row, n in zip(m.datasets, m.cells, counts)]
+
+    report = validate(m)
+    assert (report.present_cells, report.missing_cells) == (
+        sum(counts), len(rows) * width - sum(counts))
+    assert sum("single present score" in w for w in report.warnings) == sum(
+        width > 1 and n == 1 for n in counts)
+
+    columns = [[v for v in column if v is not None]
+               for column in zip(*m.cells)] or [[]] * width
+    means = _column_means(m.values, np.isnan(m.values))
+    assert [repr(float(v)) for v in means] == [
+        repr(_scalar_mean(column) if column else 0.0) for column in columns]
