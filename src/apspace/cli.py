@@ -16,14 +16,13 @@ import re
 import sys
 import tempfile
 from dataclasses import dataclass, fields as dataclass_fields
-from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 from .core import ApsError, PerformanceMatrix
 from . import ingest
 from .metrics import (DIFFICULTY_ORIENTATIONS, DIVERSITY_VARIANTS,
-                      difficulty, metric_table, variance)
+                      metric_table)
 from .pca import IMPUTATION_MODES, pca_project
 from .search import SEARCH_MODES, exhaustive_search, greedy_search
 from .viz import PlotSpec, mini_aps_grid, pca_scatter_svg
@@ -331,9 +330,9 @@ def _cmd_plot_pca(matrix: PerformanceMatrix, cfg: RunConfig,
     projection = pca_project(matrix, k=2, imputation=cfg.pca_imputation)
     metric_values = None
     if ns.color_by:
-        value = (partial(difficulty, orientation=cfg.difficulty_orientation)
-                 if ns.color_by == "difficulty" else variance)
-        metric_values = [value(matrix.row(d)) for d in projection.dataset_ids]
+        rows = metric_table(matrix, cfg.difficulty_orientation).rows
+        metric_values = [getattr(rows[matrix.dataset_index(d)], ns.color_by)
+                         for d in projection.dataset_ids]
     _emit(cfg, "pca_scatter.svg", pca_scatter_svg(
         projection, metric_values, PlotSpec(color_by=ns.color_by)))
     return 0

@@ -106,10 +106,27 @@ def _keyed(idx, rows, n_axes, variant, sign):
 
 def _prefix_blocks(n, size):
     """Every ``combinations(range(n), size)``, in blocks ``(pre, start,
-    skip)`` of at most ``_BATCH`` pairs ``(b, j)``, or one prefix:
-    ``pre[b] + (j,)`` for ``j >= start`` is a candidate unless ``skip[b,
-    j - start]``.  Prefixes come in colex order (by last index, then
-    lexicographic), so a block spans one or a few last indices."""
+    skip)``: ``pre[b] + (j,)`` for ``j >= start`` is a candidate unless
+    ``skip[b, j - start]``.  Prefixes come in colex order (by last index,
+    then lexicographic).
+
+    Pairs come in row strips: the rows ``first, first + 1, ...`` as
+    one-row prefixes, with ``start = first + 1``, up to ``8 * _BATCH``
+    pairs ``(b, j)`` or one row.  A pair key is cheap, so strips are
+    longer than other blocks, and it takes no temporary per axis (see
+    :func:`_block_keyer`): scoring a strip holds a few arrays of at
+    most ``max(8 * _BATCH, n)`` floats, 64 KB each below 8,193 rows,
+    whatever the axis count.  Larger prefixes come in blocks of at most
+    ``_BATCH`` pairs ``(b, j)``, or one prefix, spanning one or a few
+    last indices."""
+    if size == 2:
+        first = 0
+        while first < n - 1:
+            stop = min(n - 1, first + max(1, 8 * _BATCH // (n - 1 - first)))
+            rows = np.arange(first, stop)[:, None]
+            yield rows, first + 1, np.arange(first + 1, n) <= rows
+            first = stop
+        return
     ends = range(size - 2, n - 1)
     heads = chain.from_iterable(combinations(range(last), size - 2)
                                 for last in ends)
@@ -134,8 +151,12 @@ def _block_keyer(P, n_axes, variant, sign):
     variance is ``S2/m - (S1/m)**2``, clipped at 0.
 
     A block reads only the distances it needs.  A pair block (prefixes
-    of one row) reads none: one distance has variance exactly 0, so its
-    key is ``sign * coverage``, the bits the formula gives.  A block of
+    of one row, a row strip of :func:`_prefix_blocks`) reads none: one
+    distance has variance exactly 0, so its key is ``sign * coverage``.
+    The box of two points spans ``|x - y|`` on each axis, the bits of
+    ``max - min``, and the volume multiplies those gaps axis by axis, in
+    the order of the scalar product, so the key is the bits the formula
+    gives; it needs two ``B x (n - start)`` arrays.  A block of
     one prefix, such as greedy's addition step, computes that prefix's
     rows of distances, ``(k - 1) x n``.  A block of many prefixes, as
     every exhaustive scan gives, reads the n x n distance matrix, built
@@ -155,11 +176,17 @@ def _block_keyer(P, n_axes, variant, sign):
     def keys(pre, start):
         nonlocal full
         cols = pre.T
-        box = PT[:, cols]
-        ends = PT[:, None, start:]
-        span = np.maximum(box.max(axis=1)[..., None], ends)
-        span -= np.minimum(box.min(axis=1)[..., None], ends)
-        vol = span.prod(axis=0)
+        if len(cols) == 1:  # a pair's box spans |x - y| on each axis
+            vol = np.ones((len(pre), len(P) - start))
+            for col in PT:  # in axis order, as the scalar product runs
+                span = col[pre] - col[start:]
+                vol *= np.abs(span, out=span)
+        else:
+            box = PT[:, cols]
+            ends = PT[:, None, start:]
+            span = np.maximum(box.max(axis=1)[..., None], ends)
+            span -= np.minimum(box.min(axis=1)[..., None], ends)
+            vol = span.prod(axis=0)
         coverage = (np.sqrt(vol) if variant == "literal-sqrt"
                     else vol ** (1.0 / n_axes))
         if len(cols) == 1:
@@ -404,11 +431,12 @@ def greedy_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
     function returned for the same matrix, mode and variant and a size
     no larger, the search starts from that subset and runs only the
     remaining additions; the result is the one a fresh search gives.
-    The pair step reads no distances and each addition reads only its
-    subset's rows of them, so memory grows with n times the number of
-    axes, not n².  No optimality guarantee; on the bundled fixture it
-    lands within a few percent of the true optimum in max mode.  Same
-    determinism rules as the exhaustive search.
+    The pair step reads no distances: it scores row strips, each pair's
+    volume the product of ``|x - y|`` over the axes.  Each addition
+    reads only its subset's rows of distances, so memory grows with n
+    times the number of axes, not n².  No optimality guarantee; on the
+    bundled fixture it lands within a few percent of the true optimum
+    in max mode.  Same determinism rules as the exhaustive search.
     """
     names, _, ranker = _prepare(matrix, size, mode, variant, extend)
     top_of = ranker()

@@ -266,7 +266,7 @@ def test_plot_pca_with_coloring(outdir):
 @pytest.mark.parametrize("color_by", ["difficulty", "variance"])
 def test_plot_pca_colors_match_metric_table(outdir, color_by):
     """Each point takes its metric_table value under the configured
-    orientation, without the whole table being built."""
+    orientation, from one table built for the whole plot."""
     matrix = load_thesis_matrix()
     table = metric_table(matrix, "raw-mean")
     projection = pca_project(matrix, k=2, imputation="zero-fill")
@@ -274,11 +274,12 @@ def test_plot_pca_colors_match_metric_table(outdir, color_by):
         projection, [getattr(table.row(d), color_by)
                      for d in projection.dataset_ids],
         PlotSpec(color_by=color_by))
-    with mock.patch("apspace.cli.metric_table", side_effect=AssertionError):
+    with mock.patch("apspace.cli.metric_table", wraps=metric_table) as spy:
         assert run(["plot", "pca", "--color-by", color_by,
                     "--difficulty-orientation", "raw-mean",
                     "--pca-imputation", "zero-fill",
                     "-i", FIXTURE, "-o", str(outdir)]) == 0
+    spy.assert_called_once()
     assert read(outdir / "pca_scatter.svg") == want
 
 

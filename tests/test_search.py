@@ -460,6 +460,39 @@ def test_block_keys_match_scalar_scores(matrix, data, batch):
             assert (keys_of(*greedy[:2]) == before).all()
 
 
+@settings(deadline=None)
+@given(matrix=tied_matrices(drawn=(2, 50), copies=(0, 10)),
+       batch=st.sampled_from([1, 5, search._BATCH]))
+def test_pair_strips_match_scalar_reference(matrix, batch):
+    """Pairs come in row strips of consecutive rows, at most ``8 *
+    _BATCH`` candidates or one row: patched small, one row's pairs split
+    over strips; at the default, every row lands in one strip.  Over
+    2-60 rows with tied and duplicated rows, the exhaustive top 3 and
+    greedy's pair equal the scalar brute force, in both modes and both
+    variants."""
+    names = _complete_names(matrix)
+    n, pairs = len(names), list(combinations(names, 2))
+    with mock.patch.object(search, "_BATCH", batch):
+        strips = list(search._prefix_blocks(n, 2))
+        for pre, start, skip in strips:
+            assert (pre[:, 0] == np.arange(start - 1,
+                                           start - 1 + len(pre))).all()
+            assert skip.size <= max(8 * batch, n - start)
+        assert sum((~skip).sum() for *_, skip in strips) == len(pairs)
+        for variant in ("nth-root", "literal-sqrt"):
+            score = {p: score_selection(matrix, p, variant).score
+                     for p in pairs}
+            for mode, sign in (("max", -1.0), ("min", 1.0)):
+                want = sorted(pairs, key=lambda p: (sign * score[p], p))
+                res = exhaustive_search(matrix, 2, mode, top_k=3,
+                                        variant=variant)
+                assert [(s.datasets, s.score) for s in res.top] == [
+                    (p, score[p]) for p in want[:3]]
+                res = greedy_search(matrix, 2, mode, variant)
+                assert (res.best.datasets, res.best.score) == (
+                    want[0], score[want[0]])
+
+
 @pytest.mark.parametrize("batch", [search._BATCH, 7])
 def test_exhaustive_matches_scalar_reference_on_corpus(fixture_matrix,
                                                        batch):
@@ -512,6 +545,22 @@ def test_greedy_memory_is_linear_in_rows(rng):
     try:
         pair = greedy_search(m, 2)
         greedy_search(m, 3, extend=pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("n_rows, n_axes", [(2000, 8), (500, 40)])
+def test_greedy_pair_strips_memory(rng, n_rows, n_axes):
+    """A pair strip holds up to ``8 * _BATCH`` keys and takes no
+    temporary per axis: greedy's pair step on 2,000×8 and on a wide
+    500×40 input peaks under 2 MB.  One axis-wide temporary of a strip
+    alone would take 2.5 MB at 40 axes."""
+    m = random_matrix(rng, n_rows, n_axes)
+    tracemalloc.start()
+    try:
+        greedy_search(m, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
