@@ -96,14 +96,6 @@ def score_selection(matrix: PerformanceMatrix, datasets: Sequence[str],
     return diversity(rows, variant=variant, datasets=names)
 
 
-def _keyed(idx, rows, n_axes, variant, sign):
-    """Rank key ``(sign * score, idx)`` of one ascending tuple of indices
-    into the sorted names, and its score.  Such tuples order exactly as
-    the name tuples they stand for."""
-    score = _evaluate([rows[i] for i in idx], n_axes, variant)[5]
-    return (sign * score, idx), score
-
-
 def _prefix_blocks(n, size):
     """Every ``combinations(range(n), size)``, in blocks ``(pre, start,
     skip)``: ``pre[b] + (j,)`` for ``j >= start`` is a candidate unless
@@ -211,7 +203,8 @@ def _block_keyer(P, n_axes, variant, sign):
 
 def _bounded_blocks(Q, size, variant, cut):
     """Blocks, as :func:`_prefix_blocks` gives them, of the size-subsets
-    of the rows of ``Q`` that the max-mode bound cannot rule out.
+    of the rows of ``Q`` that the max-mode bound cannot rule out; the
+    search walks this tree for sizes 3 up to half the rows.
 
     The factor ``1 - Var(D)/(n/4)`` of a score lies in [0, 1], so a
     subset scores at most the coverage of its bounding box.  Every
@@ -283,69 +276,67 @@ def _far_first(P):
                       kind="stable")
 
 
-def _ranker(P, n_axes, variant, sign, order=None):
-    """Return ``top(blocks, top_k)``: the ``top_k`` smallest ``(key,
-    score)`` of :func:`_keyed` over every candidate of ``blocks``, as
-    :func:`_prefix_blocks` gives them, over ``P``, the points of the
-    sorted names.  With ``order``, blocks index the rows of
-    ``P[order]``, and each candidate is mapped back to ranks in the
-    sorted names.  ``blocks`` may also be a function of ``cut()``, the
-    running cut-off key (``math.inf`` until ``top_k`` are kept), that
-    returns the blocks.
+def _top(P, variant, sign, blocks, top_k, order=None):
+    """The ``top_k`` smallest ``((sign * score, idx), score)`` over every
+    candidate of ``blocks``, as :func:`_prefix_blocks` gives them, where
+    ``P`` holds the points of the sorted names and ``idx`` is a
+    candidate's ascending tuple of indices into them; such tuples order
+    exactly as the name tuples they stand for.  With ``order``, blocks
+    index the rows of ``P[order]``, and each candidate is mapped back to
+    ranks in the sorted names.  ``blocks`` may also be a function of
+    ``cut()``, the running cut-off key (``math.inf`` until ``top_k`` are
+    kept), that returns the blocks.
 
     :func:`_block_keyer` sums in another order than the scalar code, so
     its keys can differ from the scalar ones in the last bits.  A
     candidate whose key lies more than ``_TIE_TOL`` above a cut-off (the
     ``top_k``-th key of its block, or the worst exact key kept so far)
     is beaten outright by ``top_k`` others; every other candidate is
-    re-scored by :func:`_keyed` and merged in ``(sign * score, names)``
-    order, so scores, ties and near-ties come out exactly as the scalar
-    search gives them.  A candidate whose box is flat on some axis needs
-    no re-score: its coverage is exactly 0, and its factor is positive
-    (its distances are at most ``sqrt(n_axes - 1)``), so it scores 0.0.
+    re-scored by ``metrics._evaluate`` on its own points and merged in
+    ``(sign * score, names)`` order, so scores, ties and near-ties come
+    out exactly as the scalar search gives them.  A candidate whose box
+    is flat on some axis needs no re-score: its coverage is exactly 0,
+    and its factor is positive (its distances are at most
+    ``sqrt(n_axes - 1)``), so it scores 0.0.
     """
-    rows = P.tolist()
+    n_axes = P.shape[1]
     rank = np.arange(len(P)) if order is None else order
-    keys_of = _block_keyer(P[rank], n_axes, variant, sign)
+    keys_of = _block_keyer(P if order is None else P[order], n_axes,
+                           variant, sign)
+    best = []
 
-    def top(blocks, top_k):
-        best = []
+    def worst():
+        return best[-1][0][0] if len(best) == top_k else math.inf
 
-        def worst():
-            return best[-1][0][0] if len(best) == top_k else math.inf
-
-        if callable(blocks):
-            blocks = blocks(worst)
-        for pre, start, skip in blocks:
-            keys = keys_of(pre, start)
-            keys[skip] = math.inf
-            cut = worst()
-            if keys.size > top_k:
-                cut = min(cut, np.partition(keys, top_k - 1,
-                                            axis=None)[top_k - 1])
-            # real keys are finite, skipped ones are not
-            bound = min(cut + _TIE_TOL, sys.float_info.max)
-            b, w = np.nonzero(keys <= bound)
-            if not len(b):
-                continue
-            idx = np.sort(rank[np.column_stack([pre[b], start + w])], axis=1)
-            box = P[idx]
-            flat = (box.max(axis=1) == box.min(axis=1)).any(axis=1)
-            best = heapq.nsmallest(top_k, best + [
-                ((sign * 0.0, tuple(i)), 0.0) if zero
-                else _keyed(tuple(i), rows, n_axes, variant, sign)
-                for i, zero in zip(idx.tolist(), flat.tolist())],
-                key=lambda item: item[0])
-        return best
-
-    return top
+    if callable(blocks):
+        blocks = blocks(worst)
+    for pre, start, skip in blocks:
+        keys = keys_of(pre, start)
+        keys[skip] = math.inf
+        cut = worst()
+        if keys.size > top_k:
+            cut = min(cut, np.partition(keys, top_k - 1, axis=None)[top_k - 1])
+        # real keys are finite, skipped ones are not
+        bound = min(cut + _TIE_TOL, sys.float_info.max)
+        b, w = np.nonzero(keys <= bound)
+        if not len(b):
+            continue
+        idx = np.sort(rank[np.column_stack([pre[b], start + w])], axis=1)
+        box = P[idx]
+        flat = (box.max(axis=1) == box.min(axis=1)).any(axis=1)
+        for i, vecs, zero in zip(idx.tolist(), box, flat.tolist()):
+            score = (0.0 if zero
+                     else _evaluate(vecs.tolist(), n_axes, variant)[5])
+            best.append(((sign * score, tuple(i)), score))
+        best = heapq.nsmallest(top_k, best, key=lambda item: item[0])
+    return best
 
 
 def _prepare(matrix: PerformanceMatrix, size: int, mode: str, variant: str,
              extend: SearchResult | None = None):
     """Check a search's arguments; return the complete rows' names,
-    sorted, their points in that order, and :func:`_ranker` over those
-    points as a function of its ``order``.  ``extend`` is a greedy
+    sorted, their points in that order, and the sign of the rank key
+    (-1 in max mode, +1 in min mode).  ``extend`` is a greedy
     result to grow: same mode and variant, no larger than ``size``, over
     complete rows of ``matrix``, with the greedy count for its size."""
     if mode not in SEARCH_MODES:
@@ -380,9 +371,7 @@ def _prepare(matrix: PerformanceMatrix, size: int, mode: str, variant: str,
             raise ValueError("the result to extend is not a greedy result "
                              "over this matrix's complete rows")
     sign = -1.0 if mode == "max" else 1.0
-    points = matrix.values[rows]
-    return (names, points,
-            partial(_ranker, points, matrix.n_algorithms, variant, sign))
+    return names, matrix.values[rows], sign
 
 
 def _greedy_count(n: int, size: int) -> int:
@@ -396,22 +385,25 @@ def exhaustive_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
 
     ``mode="max"`` ranks high scores first, ``"min"`` low scores first;
     either way ties fall to the lexicographically smaller name tuple.
-    Min mode scores every subset.  Max mode, for subsets of at most
-    half the rows, enumerates the rows farthest from the centroid first
-    and skips every subset that the coverage bound of
-    :func:`_bounded_blocks` rules out.  Larger subsets are scored in
-    full: their prefix tree holds more nodes than there are candidates.
-    ``candidates_evaluated`` is C(n, k) either way.
+    Min mode scores every subset.  Max mode, for sizes 3 up to half the
+    rows, enumerates the rows farthest from the centroid first and skips
+    every subset that the coverage bound of :func:`_bounded_blocks`
+    rules out.  Other sizes are scored in full: pairs in the row strips
+    of :func:`_prefix_blocks`, which cost less than the walk, and larger
+    subsets because their prefix tree holds more nodes than there are
+    candidates.  ``candidates_evaluated`` is C(n, k) either way.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    names, points, ranker = _prepare(matrix, size, mode, variant)
-    if mode == "max" and 2 * size <= len(names):
+    names, points, sign = _prepare(matrix, size, mode, variant)
+    if mode == "max" and 2 < size <= len(names) // 2:
         order = _far_first(points)
-        best = ranker(order)(
-            partial(_bounded_blocks, points[order], size, variant), top_k)
+        best = _top(points, variant, sign,
+                    partial(_bounded_blocks, points[order], size, variant),
+                    top_k, order)
     else:
-        best = ranker()(_prefix_blocks(len(names), size), top_k)
+        best = _top(points, variant, sign,
+                    _prefix_blocks(len(names), size), top_k)
     top = tuple(Selection(datasets=tuple(names[i] for i in idx), score=score,
                           rank=rank)
                 for rank, ((_, idx), score) in enumerate(best, 1))
@@ -438,17 +430,18 @@ def greedy_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
     bundled fixture it lands within a few percent of the true optimum
     in max mode.  Same determinism rules as the exhaustive search.
     """
-    names, _, ranker = _prepare(matrix, size, mode, variant, extend)
-    top_of = ranker()
+    names, points, sign = _prepare(matrix, size, mode, variant, extend)
     n = len(names)
     if extend is None:
-        [((_, subset), score)] = top_of(_prefix_blocks(n, 2), 1)
+        [((_, subset), score)] = _top(points, variant, sign,
+                                      _prefix_blocks(n, 2), 1)
     else:
         subset = tuple(map(names.index, extend.best.datasets))
         score = extend.best.score
     while len(subset) < size:
         skip = np.isin(np.arange(n), subset)[None]
-        [((_, subset), score)] = top_of([(np.array([subset]), 0, skip)], 1)
+        [((_, subset), score)] = _top(points, variant, sign,
+                                      [(np.array([subset]), 0, skip)], 1)
     top = (Selection(tuple(names[i] for i in subset), score, rank=1),)
     return SearchResult(mode=mode, size=size, variant=variant,
                         candidates_evaluated=_greedy_count(n, size), top=top)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import shutil
@@ -81,6 +82,42 @@ def test_select_greedy_strategy(outdir):
     lines = read(outdir / "selections.csv").splitlines()
     assert lines[1].startswith("1,4,")
     assert "Jester" in lines[1]
+
+
+# sha256 of the corpus selections.csv, recorded at 8ef4a5d, before the
+# search's scorer became one function (``search._top``) and max-mode
+# pairs left the bounded walk for the row strips.
+SELECTIONS_SHA256 = {
+    ("exhaustive", "max", "nth-root"):
+        "55548ec32b046112c54e2f966150b63e8e65f4c6171934d57e07feefa7369720",
+    ("exhaustive", "max", "literal-sqrt"):
+        "365af171a52b869934622cc35a198a310508aac97b402540f095a3ef0098e044",
+    ("exhaustive", "min", "nth-root"):
+        "831a963c47817b711c292588399cd0b03429b23d9c5367c6b5e2362ce76e74fd",
+    ("exhaustive", "min", "literal-sqrt"):
+        "e1c35f58acddeb246b2f09a8f7f774584cd5abdd981e09dbc2734bda6e4e0bfb",
+    ("greedy", "max", "nth-root"):
+        "183cfa260425f7b3cc58edae0ee9145e0b8154ee3e3c797bd1b6d57d1f3945c5",
+    ("greedy", "max", "literal-sqrt"):
+        "efe180a90dd73a112913be5cd352bd648789c40ad4c4934f418b660d5abda94a",
+    ("greedy", "min", "nth-root"):
+        "bf90776120c8a014f93981dd3a0c02a2d353d671db419a69c93952d237bd177d",
+    ("greedy", "min", "literal-sqrt"):
+        "e2fd2a595436a8b6dc2a370213d64c5bf4a1b83e684376a99f2508efbeb55e3f",
+}
+
+
+@pytest.mark.parametrize("strategy, mode, variant", sorted(SELECTIONS_SHA256))
+def test_select_corpus_bytes_are_pinned(outdir, strategy, mode, variant):
+    """Exhaustive ``--size 2..5 --top 3`` and greedy ``--size 2..8`` on
+    the corpus write the pinned bytes, in both modes and variants."""
+    extra = (["--size", "2..5", "--top", "3"] if strategy == "exhaustive"
+             else ["--size", "2..8"])
+    assert run(["select", "--strategy", strategy, "--mode", mode,
+                "--diversity-variant", variant, *extra,
+                "-i", FIXTURE, "-o", str(outdir)]) == 0
+    digest = hashlib.sha256((outdir / "selections.csv").read_bytes())
+    assert digest.hexdigest() == SELECTIONS_SHA256[strategy, mode, variant]
 
 
 @pytest.mark.parametrize("mode", ["max", "min"])
