@@ -148,7 +148,8 @@ class Grid:
 
     Sized and iterable like the list of its records: ``len`` is the cell
     count, and iteration yields the triples row by row, in column order.
-    :func:`build_matrix` checks a grid in bulk.
+    :func:`build_matrix` checks a grid in bulk.  A grid has no float view
+    of its own: :attr:`PerformanceMatrix.values` is the only one.
     """
 
     datasets: Sequence[str]
@@ -161,15 +162,6 @@ class Grid:
     def __iter__(self) -> Iterator[tuple[str, str, Score]]:
         for dataset, row in zip(self.datasets, self.cells):
             yield from zip(repeat(dataset), self.algorithms, row)
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """The cells as a read-only float64 array, NaN for each ``None``
-        (and for each float NaN)."""
-        arr = np.array(self.cells, dtype=float).reshape(
-            len(self.datasets), len(self.algorithms))
-        arr.flags.writeable = False
-        return arr
 
 
 def _check_label(label: str, kind: str) -> str:
@@ -185,8 +177,9 @@ def _check_label(label: str, kind: str) -> str:
 
 def _sound_grid(grid: Grid) -> PerformanceMatrix | None:
     """The matrix of ``grid`` when the record loop of :func:`build_matrix`
-    would accept every record of it, else ``None``.  The matrix keeps the
-    grid's float view as its ``values``."""
+    would accept every record of it, else ``None``.  The range and
+    empty-row checks run on the matrix's own ``values``, so that float
+    view is made once, and cached."""
     try:
         for label in grid.datasets:
             _check_label(label, "dataset")
@@ -194,19 +187,18 @@ def _sound_grid(grid: Grid) -> PerformanceMatrix | None:
             _check_label(label, "algorithm")
     except InvalidLabelError:
         return None
-    values = grid.values
+    if (len(set(grid.datasets)) < len(grid.datasets)
+            or len(set(grid.algorithms)) < len(grid.algorithms)):
+        return None
+    matrix = PerformanceMatrix(tuple(grid.algorithms), tuple(grid.datasets),
+                               tuple(map(tuple, grid.cells)))
+    values = matrix.values
     gaps = sum(row.count(None) for row in grid.cells)
     # NaN, a gap or a float NaN, is never in range: every cell that is
     # not a gap must be
     in_range = np.count_nonzero((values >= 0.0) & (values <= 1.0))
-    if (len(set(grid.datasets)) < len(grid.datasets)
-            or len(set(grid.algorithms)) < len(grid.algorithms)
-            or in_range + gaps != values.size
-            or np.isnan(values).all(axis=1).any()):
+    if in_range + gaps != values.size or np.isnan(values).all(axis=1).any():
         return None
-    matrix = PerformanceMatrix(tuple(grid.algorithms), tuple(grid.datasets),
-                               tuple(map(tuple, grid.cells)))
-    vars(matrix)["values"] = values   # the cached float view of the cells
     return matrix
 
 
@@ -220,10 +212,10 @@ def build_matrix(records: Iterable[tuple[str, str, Score]]) -> PerformanceMatrix
     ends up with no present score.
 
     A :class:`Grid` is checked in bulk: each label once, uniqueness by
-    sets, range and empty rows on its float view.  Only when a bulk
-    check fails are its records replayed one by one through the loop
-    below, which raises the first error in record order, as it does for
-    any other iterable.
+    sets, range and empty rows on the ``values`` of the matrix it makes.
+    Only when a bulk check fails are its records replayed one by one
+    through the loop below, which raises the first error in record
+    order, as it does for any other iterable.
     """
     if isinstance(records, Grid):
         matrix = _sound_grid(records)

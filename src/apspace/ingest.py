@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import (ApsError, EmptyRowError, Grid, PerformanceMatrix, Score,
-                   build_matrix)
+                   _check_label, build_matrix)
 
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
 INPUT_FORMATS = ("auto", "long", "wide")
@@ -152,14 +152,15 @@ def parse_wide(text: str) -> PerformanceMatrix:
     the algorithm columns (zero columns is allowed so degenerate matrices
     round-trip).  Every row must match the header width.
 
-    Each row's scores are read with ``float`` alone.  A row it cannot
-    read, and a row where it gave a NaN (``" NaN "`` is a gap, ``nan`` a
-    number out of range), is read again cell by cell as
-    :func:`parse_long` reads a score, so the messages and the gaps are
-    the same in both shapes.  The rows go to :func:`build_matrix` as one
+    Each score is read once, by the rule of :func:`parse_long`: a cell
+    that is empty or ``NaN`` once stripped is a gap, any other is read
+    by ``float`` (so ``nan`` is a number, and out of range).  Only a row
+    with a token ``float`` refuses is read again, cell by cell, for the
+    message.  The rows go to :func:`build_matrix` as one
     :class:`~apspace.core.Grid`, which it checks in bulk; only when a
     check fails does it replay the grid record by record, so the first
-    fault in file order is the one reported.
+    fault in file order is the one reported.  A header-only text keeps
+    its algorithm columns, each a valid name given once.
     """
     rows, header = _reader(text)
     if not header or header[0] != "dataset":
@@ -181,25 +182,22 @@ def parse_wide(text: str) -> PerformanceMatrix:
             raise EmptyRowError(f"dataset {dataset!r} has no present scores")
         datasets.append(dataset)
         try:
-            cells.append([None if c == "" or c == "NaN" else float(c)
-                          for c in row[1:]])
+            cells.append([None if (s := c.strip()) == "" or s == "NaN"
+                          else float(c) for c in row[1:]])
         except ValueError:
+            # only to raise _parse_score's message for the token float()
+            # refused
             cells.append([_parse_score(c, line) for c in row[1:]])
     if not cells:
         # header-only input: keep the column set so parse(write(m)) == m
+        seen = set()
+        for algorithm in algorithms:
+            if _check_label(algorithm, "algorithm") in seen:
+                raise MalformedHeaderError(
+                    f"duplicate algorithm column {algorithm!r}")
+            seen.add(algorithm)
         return PerformanceMatrix(tuple(algorithms), (), ())
-    grid = Grid(datasets, algorithms, cells)
-    # float() reads " NaN " (a gap) and "nan" (a number) alike, as NaN
-    nan_rows = np.flatnonzero(np.isnan(grid.values).sum(axis=1)
-                              != [row.count(None) for row in cells])
-    if nan_rows.size:
-        # rare: read the text again rather than keep every row's strings
-        again = [(line, row) for line, row in _reader(text)[0] if row]
-        for i in nan_rows:
-            line, row = again[i]
-            cells[i] = [_parse_score(c, line) for c in row[1:]]
-        grid = Grid(datasets, algorithms, cells)
-    return build_matrix(grid)
+    return build_matrix(Grid(datasets, algorithms, cells))
 
 
 def _format_score(value: Score) -> str:

@@ -395,6 +395,21 @@ def test_exit_code_data_errors(tmp_path, capsys):
     assert "error: grid needs at least 2 algorithms" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header, message", [
+    ("dataset,a,a\n", "duplicate algorithm column 'a'"),
+    ("dataset,a,\n", "bad algorithm name '': must be non-empty with no "
+     "surrounding whitespace"),
+])
+def test_header_only_bad_algorithm_names_exit_2(tmp_path, capsys, header,
+                                                message):
+    src = tmp_path / "header.csv"
+    src.write_text(header, encoding="utf-8")
+    for command in (["validate"], ["metrics", "-o", str(tmp_path)]):
+        capsys.readouterr()
+        assert run([*command, "-i", str(src)]) == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
 def test_pca_component_count_exit_codes(tmp_path, capsys):
     # the flag's own range is a usage error ...
     for count in ("0", "-1"):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from apspace.cli import run
 from apspace.core import (ApsError, EmptyRowError, PerformanceMatrix,
-                          build_matrix)
+                          _check_label, build_matrix)
 from apspace.ingest import (MalformedHeaderError, MalformedRowError,
                             RaggedRowError, _parse_score, _reader, parse_csv,
                             parse_wide, write_long, write_wide)
@@ -62,8 +62,8 @@ def test_write_then_parse_is_the_identity(m):
 
 score_texts = st.one_of(
     st.floats(0.0, 1.0).map(repr),
-    st.sampled_from(["", " ", "NaN", " NaN ", "-0.0", "1e-400", "0",
-                     " 0.25 ", "1"]))
+    st.sampled_from(["", " ", "NaN", " NaN ", "\tNaN", "NaN\u00a0", "-0.0",
+                     "1e-400", "0", " 0.25 ", "1"]))
 tokens = st.one_of(labels, score_texts, st.sampled_from(
     ["nan", "inf", "-inf", "1.5", "-1", "1e308", "abc", '"', '"x',
      "a\x00b"]))
@@ -165,7 +165,13 @@ def _parse_wide_per_record(text: str) -> PerformanceMatrix:
         records += [(dataset, algorithm, _parse_score(cell, line))
                     for algorithm, cell in zip(header[1:], row[1:])]
     if not records:
-        return PerformanceMatrix(tuple(header[1:]), (), ())
+        algorithms = header[1:]
+        for i, algorithm in enumerate(algorithms):
+            _check_label(algorithm, "algorithm")
+            if algorithm in algorithms[:i]:
+                raise MalformedHeaderError(
+                    f"duplicate algorithm column {algorithm!r}")
+        return PerformanceMatrix(tuple(algorithms), (), ())
     return build_matrix(records)
 
 

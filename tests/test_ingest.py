@@ -3,6 +3,7 @@ import csv
 import pytest
 
 from conftest import make_matrix, random_matrix
+from apspace import ingest
 from apspace.core import (DuplicateCellError, EmptyRowError,
                           InvalidLabelError, PerformanceMatrix,
                           ScoreOutOfRangeError, build_matrix)
@@ -127,9 +128,18 @@ def test_parse_wide_all_missing_row():
      DuplicateCellError, "duplicate cell for dataset 'd2', algorithm 'A'"),
     ("dataset,A,B\nd2,0.3,0.1\nd1,,NaN\nd3,,\n", EmptyRowError,
      "dataset 'd1' has no present scores"),
+    # a header-only text keeps its algorithm columns, so their names are
+    # checked there too, the first fault in header order
+    ("dataset,a,a\n", MalformedHeaderError,
+     "duplicate algorithm column 'a'"),
+    ("dataset,a,\n", InvalidLabelError,
+     "bad algorithm name '': must be non-empty with no surrounding "
+     "whitespace"),
+    ("dataset,a,b,a,\n", MalformedHeaderError,
+     "duplicate algorithm column 'a'"),
     # a header with no algorithm columns leaves every data row empty
     ("dataset\nd1\n", EmptyRowError, "dataset 'd1' has no present scores"),
-    # float() reads " NaN " as NaN and cannot read " ": both are gaps
+    # " NaN " and " " are gaps: a score token is stripped before it is read
     ("dataset,A,B\nd1,0.5, NaN \nd2, NaN ,NaN\n", EmptyRowError,
      "dataset 'd2' has no present scores"),
     ("dataset,A,B\nd1, ,0.5\nd2,, \n", EmptyRowError,
@@ -146,32 +156,49 @@ def test_parse_wide_error_precedence(text, error, message):
 
 
 # How a score token reads, the same through both parsers: only the exact
-# spelling ``NaN`` (or an empty field) is a gap; ``nan`` and the
-# infinities parse as floats and are then rejected by their range, never
-# taken as gaps; tiny and negative-zero values are in range.  A quote
-# closed mid-field is read leniently: ``"0.2"5`` is 0.25 (an open
-# question, kept as it is so that no fast path drifts from it).
+# spelling ``NaN`` (or an empty field), once stripped, is a gap; ``nan``
+# and the infinities parse as floats and are then rejected by their
+# range, never taken as gaps; tiny and negative-zero values are in
+# range.  A quote closed mid-field is read leniently: ``"0.2"5`` is 0.25
+# (an open question, kept as it is so that no fast path drifts from it).
 @pytest.mark.parametrize("parse, text", [
     (parse_wide, "dataset,A,B\nd1,{},0.5\n"),
     (parse_long, "dataset,algorithm,score\nd1,A,{}\nd1,B,0.5\n"),
 ], ids=["wide", "long"])
 @pytest.mark.parametrize("token, cell", [
     ("NaN", None), ("", None), (" NaN ", None), (" ", None),
+    ("\tNaN", None), ("NaN\u00a0", None),
     ("-0.0", "-0.0"), ("1e-400", "0.0"), ('"0.2"5', "0.25"),
-    ("nan", ScoreOutOfRangeError), ("inf", ScoreOutOfRangeError),
-    ("-inf", ScoreOutOfRangeError),
+    ("nan", ScoreOutOfRangeError), (" nan ", ScoreOutOfRangeError),
+    ("inf", ScoreOutOfRangeError), ("-inf", ScoreOutOfRangeError),
 ])
 def test_score_token_reading(parse, text, token, cell):
     if cell is ScoreOutOfRangeError:
         with pytest.raises(ScoreOutOfRangeError) as info:
             parse(text.format(token))
         assert str(info.value) == (
-            f"score {token} for ('d1', 'A') is outside [0, 1]")
+            f"score {token.strip()} for ('d1', 'A') is outside [0, 1]")
     else:
         got = parse(text.format(token)).cells[0]
         assert got[1] == 0.5
         # repr tells -0.0 from 0.0
         assert (got[0] if got[0] is None else repr(got[0])) == cell
+
+
+def test_parse_wide_reads_its_text_once(monkeypatch):
+    """Padded ``NaN`` tokens are gaps on the first read; the text is
+    never read a second time to find them."""
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return reader(text)
+
+    reader = ingest._reader
+    monkeypatch.setattr(ingest, "_reader", counted)
+    m = parse_wide("dataset,A,B\nd1, NaN ,0.5\nd2,0.25,\tNaN\n")
+    assert len(calls) == 1
+    assert m.cells == ((None, 0.5), (0.25, None))
 
 
 def test_parse_skips_blank_lines_and_crlf_and_bom():
