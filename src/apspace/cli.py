@@ -14,7 +14,6 @@ import argparse
 import os
 import re
 import sys
-import tempfile
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Sequence
@@ -62,12 +61,18 @@ def _fmt4(x: float) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    """Write via a sibling temp file + rename; never leaves partials."""
+    """Write via a sibling temp file + rename; never leaves partials.
+
+    The temp file is opened exclusively under a random name, with mode
+    0o666 less the umask, the mode a plain ``open()`` gives.  Its name
+    is short whatever the target's, so any name the directory accepts
+    can be written.  A name clash fails at that open, outside the
+    cleanup, so the cleanup never removes another writer's file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
-                               suffix=".tmp")
+    tmp = os.path.join(path.parent, f".aps-{os.urandom(8).hex()}.tmp")
+    f = open(tmp, "x", encoding="utf-8", newline="")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
+        with f:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -61,7 +61,8 @@ class PerformanceMatrix:
     or ``None`` where no result exists.  Rows and columns keep the order
     they were first seen in; use :func:`build_matrix` to construct one
     with full validation.  ``complete`` and ``values`` are the one owner
-    of row completeness and of the float view; both are cached, read-only.
+    of row completeness and of the float view; both are cached, read-only,
+    as is ``complete_points``, which the searches read.
     """
 
     algorithms: tuple[str, ...]
@@ -121,6 +122,16 @@ class PerformanceMatrix:
             self.n_datasets, self.n_algorithms)
         arr.flags.writeable = False
         return arr
+
+    @cached_property
+    def complete_points(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """The complete rows' names, sorted, and their points in that
+        order, read-only: the candidates of every subset search."""
+        rows = sorted(np.flatnonzero(self.complete).tolist(),
+                      key=self.datasets.__getitem__)
+        points = self.values[rows]
+        points.flags.writeable = False
+        return tuple(self.datasets[i] for i in rows), points
 
     def is_complete(self, dataset: str) -> bool:
         return bool(self.complete[self.dataset_index(dataset)])

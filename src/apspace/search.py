@@ -105,12 +105,12 @@ def _prefix_blocks(n, size):
     Pairs come in row strips: the rows ``first, first + 1, ...`` as
     one-row prefixes, with ``start = first + 1``, up to ``8 * _BATCH``
     pairs ``(b, j)`` or one row.  A pair key is cheap, so strips are
-    longer than other blocks, and it takes no temporary per axis (see
-    :func:`_block_keyer`): scoring a strip holds a few arrays of at
-    most ``max(8 * _BATCH, n)`` floats, 64 KB each below 8,193 rows,
-    whatever the axis count.  Larger prefixes come in blocks of at most
-    ``_BATCH`` pairs ``(b, j)``, or one prefix, spanning one or a few
-    last indices."""
+    longer than other blocks, and it takes one buffer of gaps, reused
+    on every axis (see :func:`_block_keyer`): scoring a strip holds a
+    few arrays of at most ``max(8 * _BATCH, n)`` floats, 64 KB each
+    below 8,193 rows, whatever the axis count.  Larger prefixes come in
+    blocks of at most ``_BATCH`` pairs ``(b, j)``, or one prefix,
+    spanning one or a few last indices."""
     if size == 2:
         first = 0
         while first < n - 1:
@@ -146,11 +146,13 @@ def _block_keyer(P, n_axes, variant, sign):
     of one row, a row strip of :func:`_prefix_blocks`) reads none: one
     distance has variance exactly 0, so its key is ``sign * coverage``.
     The box of two points spans ``|x - y|`` on each axis, the bits of
-    ``max - min``, and the volume multiplies those gaps axis by axis, in
-    the order of the scalar product, so the key is the bits the formula
-    gives; it needs two ``B x (n - start)`` arrays.  A block of
-    one prefix, such as greedy's addition step, computes that prefix's
-    rows of distances, ``(k - 1) x n``.  A block of many prefixes, as
+    ``max - min``.  The volume multiplies the signed gaps ``x - y`` axis
+    by axis, in the order of the scalar product, through one reused
+    buffer, then takes one ``abs``: rounding does not depend on the
+    sign, so ``|a * b|`` is the float ``|a| * |b|``, and the key is the
+    bits the formula gives; it needs two ``B x (n - start)`` arrays.
+    A block of one prefix, such as greedy's addition step, computes that
+    prefix's rows of distances, ``(k - 1) x n``.  A block of many prefixes, as
     every exhaustive scan gives, reads the n x n distance matrix, built
     on the first such block and kept.  Every distance sums the same
     terms in axis order, so the keys do not depend on which of these
@@ -169,10 +171,11 @@ def _block_keyer(P, n_axes, variant, sign):
         nonlocal full
         cols = pre.T
         if len(cols) == 1:  # a pair's box spans |x - y| on each axis
-            vol = np.ones((len(pre), len(P) - start))
-            for col in PT:  # in axis order, as the scalar product runs
-                span = col[pre] - col[start:]
-                vol *= np.abs(span, out=span)
+            vol = PT[0][pre] - PT[0][start:]
+            span = np.empty_like(vol)
+            for col in PT[1:]:  # in axis order, as the scalar product runs
+                vol *= np.subtract(col[pre], col[start:], out=span)
+            np.abs(vol, out=vol)
         else:
             box = PT[:, cols]
             ends = PT[:, None, start:]
@@ -246,7 +249,8 @@ def _bounded_blocks(Q, size, variant, cut):
                - np.minimum(lo[:, None], tail_lo[j])).prod(axis=2)
         bound = -(np.sqrt(vol) if variant == "literal-sqrt"
                   else vol ** (1.0 / n_axes))
-        b, w = np.nonzero((j > last[:, None]) & (bound <= cut() + _TIE_TOL))
+        b, w = divmod(np.flatnonzero((j > last[:, None])
+                                    & (bound <= cut() + _TIE_TOL)), len(j))
         pre, bound = np.column_stack([pre[b], j[w]]), bound[b, w]
         if depth + 2 == size:
             leaves.append((pre, bound))
@@ -291,13 +295,15 @@ def _top(P, variant, sign, blocks, top_k, order=None):
     its keys can differ from the scalar ones in the last bits.  A
     candidate whose key lies more than ``_TIE_TOL`` above a cut-off (the
     ``top_k``-th key of its block, or the worst exact key kept so far)
-    is beaten outright by ``top_k`` others; every other candidate is
-    re-scored by ``metrics._evaluate`` on its own points and merged in
-    ``(sign * score, names)`` order, so scores, ties and near-ties come
-    out exactly as the scalar search gives them.  A candidate whose box
-    is flat on some axis needs no re-score: its coverage is exactly 0,
-    and its factor is positive (its distances are at most
-    ``sqrt(n_axes - 1)``), so it scores 0.0.
+    is beaten outright by ``top_k`` others.  The worst kept key cuts
+    first; only when more than ``top_k`` keys of a block pass it are
+    those partitioned, and their ``top_k``-th is the block's.  Every
+    other candidate is re-scored by ``metrics._evaluate`` on its own
+    points and merged in ``(sign * score, names)`` order, so scores,
+    ties and near-ties come out exactly as the scalar search gives them.
+    A candidate whose box is flat on some axis needs no re-score: its
+    coverage is exactly 0, and its factor is positive (its distances are
+    at most ``sqrt(n_axes - 1)``), so it scores 0.0.
     """
     n_axes = P.shape[1]
     rank = np.arange(len(P)) if order is None else order
@@ -313,14 +319,16 @@ def _top(P, variant, sign, blocks, top_k, order=None):
     for pre, start, skip in blocks:
         keys = keys_of(pre, start)
         keys[skip] = math.inf
-        cut = worst()
-        if keys.size > top_k:
-            cut = min(cut, np.partition(keys, top_k - 1, axis=None)[top_k - 1])
         # real keys are finite, skipped ones are not
-        bound = min(cut + _TIE_TOL, sys.float_info.max)
-        b, w = np.nonzero(keys <= bound)
-        if not len(b):
+        at = np.flatnonzero(keys <= min(worst() + _TIE_TOL,
+                                        sys.float_info.max))
+        if len(at) > top_k:
+            near = keys.ravel()[at]
+            at = at[near <= np.partition(near, top_k - 1)[top_k - 1]
+                    + _TIE_TOL]
+        if not len(at):
             continue
+        b, w = divmod(at, keys.shape[1])
         idx = np.sort(rank[np.column_stack([pre[b], start + w])], axis=1)
         box = P[idx]
         flat = (box.max(axis=1) == box.min(axis=1)).any(axis=1)
@@ -335,26 +343,25 @@ def _top(P, variant, sign, blocks, top_k, order=None):
 def _prepare(matrix: PerformanceMatrix, size: int, mode: str, variant: str,
              extend: SearchResult | None = None):
     """Check a search's arguments; return the complete rows' names,
-    sorted, their points in that order, and the sign of the rank key
-    (-1 in max mode, +1 in min mode).  ``extend`` is a greedy
-    result to grow: same mode and variant, no larger than ``size``, over
-    complete rows of ``matrix``, with the greedy count for its size."""
+    sorted, their read-only points in that order (both cached on the
+    matrix), and the sign of the rank key (-1 in max mode, +1 in min
+    mode).  ``extend`` is a greedy result to grow: same mode and
+    variant, no larger than ``size``, over complete rows of ``matrix``,
+    with the greedy count for its size."""
     if mode not in SEARCH_MODES:
         raise ValueError(f"unknown search mode {mode!r}")
     _check_variant(variant)
     if matrix.n_algorithms < 2:
         raise DimensionMismatchError(
             "search needs at least 2 algorithm axes")
-    rows = sorted(np.flatnonzero(matrix.complete).tolist(),
-                  key=matrix.datasets.__getitem__)
-    if not rows:
+    names, points = matrix.complete_points
+    if not names:
         raise NoCompleteRowsError("no complete rows to search over")
     if size < 2:
         raise InvalidSelectionError(f"subset size must be >= 2, got {size}")
-    if size > len(rows):
+    if size > len(names):
         raise SizeTooLargeError(
-            f"subset size {size} exceeds the {len(rows)} complete rows")
-    names = [matrix.datasets[i] for i in rows]
+            f"subset size {size} exceeds the {len(names)} complete rows")
     if extend is not None:
         if (extend.mode, extend.variant) != (mode, variant):
             raise ValueError(
@@ -371,7 +378,7 @@ def _prepare(matrix: PerformanceMatrix, size: int, mode: str, variant: str,
             raise ValueError("the result to extend is not a greedy result "
                              "over this matrix's complete rows")
     sign = -1.0 if mode == "max" else 1.0
-    return names, matrix.values[rows], sign
+    return names, points, sign
 
 
 def _greedy_count(n: int, size: int) -> int:

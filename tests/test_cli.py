@@ -13,7 +13,7 @@ import pytest
 
 import apspace
 from conftest import make_matrix, random_matrix
-from apspace.cli import RunConfig, run
+from apspace.cli import RunConfig, _write_atomic, run
 from apspace.ingest import (fixture_path, load_thesis_matrix, write_long,
                             write_wide)
 from apspace.metrics import metric_table
@@ -444,6 +444,27 @@ def test_failed_write_leaves_no_temp_file(outdir, capsys):
     assert f"error: cannot write {target}: " in capsys.readouterr().err
     assert sorted(p.name for p in outdir.iterdir()) == ["metrics.csv"]
     assert list(target.iterdir()) == [target / "keep"]
+
+
+def test_written_files_take_the_umask(outdir):
+    """An output file gets the mode a plain ``open()`` gives it, 0o666
+    less the umask, and no temp file is left beside it."""
+    umask = os.umask(0o022)
+    try:
+        assert run(["metrics", "-i", FIXTURE, "-o", str(outdir)]) == 0
+    finally:
+        os.umask(umask)
+    assert [p.name for p in outdir.iterdir()] == ["metrics.csv"]
+    assert (outdir / "metrics.csv").stat().st_mode & 0o777 == 0o644
+
+
+def test_write_accepts_the_longest_file_name(tmp_path):
+    """A file name of 255 bytes, the most ext4 and tmpfs accept, can be
+    written: the temp file's name does not grow with the target's."""
+    target = tmp_path / ("x" * 251 + ".csv")
+    _write_atomic(target, "a\n")
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
+    assert read(target) == "a\n"
 
 
 @pytest.mark.parametrize("key, flag, message", [

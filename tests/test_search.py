@@ -352,6 +352,22 @@ def test_bounded_search_scores_a_fraction_of_the_corpus(fixture_matrix):
         assert scored[0] >= 82251
 
 
+@pytest.mark.parametrize("mode, rescored", [("max", [3, 3, 3, 6]),
+                                             ("min", [0, 4, 11, 14])])
+def test_tie_band_rescores_on_corpus(fixture_matrix, mode, rescored):
+    """How many candidates ``_top`` re-scores with the scalar formula on
+    the corpus, top-3, k=2..5: the band within ``_TIE_TOL`` of the
+    cut-off, less the flat boxes that score 0.0 unscored.  Each block's
+    selection must neither widen nor narrow that band."""
+    counts = []
+    for size in range(2, 6):
+        with mock.patch.object(search, "_evaluate",
+                               wraps=search._evaluate) as evaluate:
+            exhaustive_search(fixture_matrix, size, mode, top_k=3)
+        counts.append(evaluate.call_count)
+    assert counts == rescored
+
+
 @settings(deadline=None)
 @given(matrix=tied_matrices(), data=st.data())
 def test_greedy_matches_scalar_reference(matrix, data):
