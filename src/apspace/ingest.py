@@ -11,11 +11,13 @@ numbers; writers emit shortest-round-trip floats so parse(write(m)) == m.
 
 Every CSV text, the user's input and the bundled fixtures alike, is read
 through :func:`_reader`, which owns the checks on the text itself: a BOM,
-NUL characters, an unclosed quote and the csv module's own faults.
+NUL characters, a quote left open or followed by more text in its field,
+and the csv module's own faults.
 """
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -67,6 +69,73 @@ def _parse_score(text: str, line_num: int) -> Score:
     return value
 
 
+def _csv_rows(lines: Iterable[str], first: int = 1
+              ) -> Iterator[tuple[int, list[str]]]:
+    """The rows ``csv.reader(strict=True)`` reads from ``lines``, each with
+    the line number it ends on, counted from ``first``.
+
+    A quoted field still open at the end of the input, which a lenient
+    reader would close there, is ``line N: quoted field not closed before
+    the end of the input``, N being the line its row starts on.  Any other
+    fault the csv module raises, such as a field over its size limit or
+    text after a closing quote (``"0.2"5``), is ``cannot read CSV: <its
+    message>``.  Each is a :class:`MalformedRowError`."""
+    rdr, start = csv.reader(lines, strict=True), first
+    try:
+        for row in rdr:
+            yield first - 1 + rdr.line_num, row
+            start = first + rdr.line_num
+    except csv.Error as exc:
+        if str(exc) == "unexpected end of data":
+            raise MalformedRowError(
+                f"line {start}: quoted field not closed before the end of "
+                "the input") from None
+        raise MalformedRowError(f"cannot read CSV: {exc}") from None
+
+
+def _plain_rows(text: str, first: int) -> Iterator[tuple[int, list[str]]]:
+    """The rows ``csv.reader`` reads from ``text``, which holds no quote
+    and no carriage return, numbered from ``first``: each line split at
+    its commas, a blank line as ``[]``, and no row after a final
+    newline.  Nothing is split before the first row is asked for.  When
+    a line is longer than ``csv.field_size_limit()``, read then, the
+    lines go through :func:`_csv_rows` instead, which refuses a field
+    over that limit."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        yield from _csv_rows(lines, first)
+    else:
+        yield from enumerate(
+            (line.split(",") if line else [] for line in lines), first)
+
+
+def _row_scores(tokens: list[str], line: int) -> list[Score]:
+    """The scores of one wide row, by the rule of :func:`_parse_score`: a
+    token that is empty or ``NaN`` once stripped is a gap, any other is
+    read by ``float`` (so ``nan`` is a number, and out of range).
+
+    A row with no empty token is first read by one ``map(float)``, which
+    is that rule when it raises nothing and gives no NaN.  Any other row
+    is read token by token, and only a row with a token ``float`` refuses
+    is read once more, by :func:`_parse_score`, for its message."""
+    if "" not in tokens:
+        try:
+            scores = list(map(float, tokens))
+        except ValueError:
+            pass
+        else:
+            if not math.isnan(sum(scores)):
+                return scores
+    try:
+        return [None if (s := c.strip()) == "" or s == "NaN" else float(c)
+                for c in tokens]
+    except ValueError:
+        return [_parse_score(c, line) for c in tokens]
+
+
 def _reader(text: str) -> tuple[Iterator[tuple[int, list[str]]],
                                  list[str] | None]:
     """The rows of the CSV ``text`` after its header, each with the line
@@ -74,37 +143,20 @@ def _reader(text: str) -> tuple[Iterator[tuple[int, list[str]]],
     for empty text).  One leading BOM is dropped.
 
     Text with a NUL character is refused here on every Python version:
-    before 3.11 the csv module cannot read it at all.  So is a quoted
-    field still open at the end of the text, which the csv reader would
-    close there.  The reader returns a row as soon as it is complete, so
-    a row it returns after asking for input past the last line is one
-    whose quote was never closed.  (``strict=True`` would refuse that
-    too, but also ``"0.2"5``, which reads as ``0.25``.)  A fault the csv
-    module raises itself, such as a field over its size limit, is
-    reported as ``cannot read CSV: <its message>``.  Each of these is a
-    :class:`MalformedRowError`."""
+    before 3.11 the csv module cannot read it at all.  Text with no quote
+    and no carriage return is split at its line breaks and commas, which
+    gives the csv module's rows; the header line is split off first, so
+    reading only the header splits nothing after it.  Any other text goes
+    through the strict csv reader (see :func:`_csv_rows` for its
+    faults)."""
     if "\x00" in text:
         raise MalformedRowError("cannot read CSV: it contains a NUL character")
-    ended = []
-
-    def lines():
-        yield from io.StringIO(text.removeprefix("\ufeff"), newline="")
-        ended.append(True)
-
-    def read():
-        rdr, start = csv.reader(lines()), 1
-        try:
-            for row in rdr:
-                if ended:
-                    raise MalformedRowError(
-                        f"line {start}: quoted field not closed before the "
-                        "end of the input")
-                yield rdr.line_num, row
-                start = rdr.line_num + 1
-        except csv.Error as exc:
-            raise MalformedRowError(f"cannot read CSV: {exc}") from None
-
-    rows = read()
+    text = text.removeprefix("\ufeff")
+    if '"' in text or "\r" in text:
+        rows = _csv_rows(io.StringIO(text, newline=""))
+    else:
+        head, newline, body = text.partition("\n")
+        rows = chain(_plain_rows(head + newline, 1), _plain_rows(body, 2))
     header = next(rows, (0, None))[1]
     return rows, header and [cell.strip() for cell in header]
 
@@ -152,11 +204,8 @@ def parse_wide(text: str) -> PerformanceMatrix:
     the algorithm columns (zero columns is allowed so degenerate matrices
     round-trip).  Every row must match the header width.
 
-    Each score is read once, by the rule of :func:`parse_long`: a cell
-    that is empty or ``NaN`` once stripped is a gap, any other is read
-    by ``float`` (so ``nan`` is a number, and out of range).  Only a row
-    with a token ``float`` refuses is read again, cell by cell, for the
-    message.  The rows go to :func:`build_matrix` as one
+    Each row's scores are read by :func:`_row_scores`, by the rule of
+    :func:`parse_long`.  The rows go to :func:`build_matrix` as one
     :class:`~apspace.core.Grid`, which it checks in bulk; only when a
     check fails does it replay the grid record by record, so the first
     fault in file order is the one reported.  A header-only text keeps
@@ -181,13 +230,7 @@ def parse_wide(text: str) -> PerformanceMatrix:
         if not algorithms:
             raise EmptyRowError(f"dataset {dataset!r} has no present scores")
         datasets.append(dataset)
-        try:
-            cells.append([None if (s := c.strip()) == "" or s == "NaN"
-                          else float(c) for c in row[1:]])
-        except ValueError:
-            # only to raise _parse_score's message for the token float()
-            # refused
-            cells.append([_parse_score(c, line) for c in row[1:]])
+        cells.append(_row_scores(row[1:], line))
     if not cells:
         # header-only input: keep the column set so parse(write(m)) == m
         seen = set()

@@ -259,9 +259,10 @@ class _MiniPlots:
         return self._text[axis, j][both].tolist()
 
     def scope(self, algo_x: str, algo_y: str
-              ) -> tuple[int, int, np.ndarray, float, float]:
-        """Column indices, plotted-dataset mask and axis peaks of one
-        plot; raises the error that makes the plot impossible."""
+              ) -> tuple[int, int, float, float]:
+        """Column indices and axis peaks of one plot, all that
+        :meth:`svg` needs; raises the error that makes the plot
+        impossible."""
         if algo_x == algo_y:
             raise SameAlgorithmError(
                 f"cannot plot algorithm {algo_x!r} against itself")
@@ -279,12 +280,15 @@ class _MiniPlots:
         if max_y <= 0.0:
             raise ZeroColumnError(
                 f"axis {algo_y!r} has no positive score among plotted datasets")
-        return jx, jy, both, max_x, max_y
+        return jx, jy, max_x, max_y
 
-    def svg(self, algo_x: str, algo_y: str) -> str:
-        jx, jy, both, max_x, max_y = self.scope(algo_x, algo_y)
+    def svg(self, jx: int, jy: int, max_x: float, max_y: float) -> str:
+        """The document of the plot :meth:`scope` returned."""
+        both = self.present[:, jx] & self.present[:, jy]
+        algorithms = self.matrix.algorithms
         parts = _open_svg(self.spec)
-        parts += _axes(self.frame, algo_x, algo_y, ("0", "0.5", "1"))
+        parts += _axes(self.frame, algorithms[jx], algorithms[jy],
+                       ("0", "0.5", "1"))
         parts += _circles(self._axis_text("x", jx, max_x, both),
                           self._axis_text("y", jy, max_y, both),
                           compress(self.tails, both.tolist()))
@@ -296,28 +300,30 @@ class PlotSequence(Sequence[tuple[str, str]]):
     """The ``(label, svg document)`` of each plottable pair of a grid.
 
     Sized and re-iterable, but lazy: indexing renders that one document
-    and every iteration renders afresh.  Nothing is cached, so memory
-    holds only the documents the caller keeps.  ``labels`` needs no
-    rendering, and a slice is a sequence over fewer pairs that renders
-    nothing either.  Two sequences compare by identity, not by their
-    documents: compare ``list(plots)`` for that.
+    and every iteration renders afresh.  Only each pair's scope (see
+    :meth:`_MiniPlots.scope`) is kept, so memory holds only the
+    documents the caller keeps.  ``labels`` needs no rendering, and a
+    slice is a sequence over fewer pairs that renders nothing either.
+    Two sequences compare by identity, not by their documents: compare
+    ``list(plots)`` for that.
     """
 
     def __init__(self, plotter: _MiniPlots,
-                 pairs: Sequence[tuple[str, str]]):
+                 scopes: Sequence[tuple[int, int, float, float]]):
         self._plotter = plotter
-        self._pairs = tuple(pairs)
-        self.labels = tuple(f"{x}_vs_{y}" for x, y in self._pairs)
+        self._scopes = tuple(scopes)
+        names = plotter.matrix.algorithms
+        self.labels = tuple(f"{names[jx]}_vs_{names[jy]}"
+                            for jx, jy, _, _ in self._scopes)
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._scopes)
 
     def __getitem__(self, index: int | slice
                     ) -> "tuple[str, str] | PlotSequence":
         if isinstance(index, slice):
-            return PlotSequence(self._plotter, self._pairs[index])
-        x, y = self._pairs[index]
-        return self.labels[index], self._plotter.svg(x, y)
+            return PlotSequence(self._plotter, self._scopes[index])
+        return self.labels[index], self._plotter.svg(*self._scopes[index])
 
 
 @dataclass(frozen=True)
@@ -339,7 +345,8 @@ def mini_aps_svg(matrix: PerformanceMatrix, algo_x: str, algo_y: str,
     plotted dataset per axis sits at 1.0.  Highlighted groups (by name
     prefix) are drawn after the plain points so they stay visible.
     """
-    return _MiniPlots(matrix, spec or PlotSpec()).svg(algo_x, algo_y)
+    plotter = _MiniPlots(matrix, spec or PlotSpec())
+    return plotter.svg(*plotter.scope(algo_x, algo_y))
 
 
 def mini_aps_grid(matrix: PerformanceMatrix, spec: PlotSpec | None = None,
@@ -351,21 +358,20 @@ def mini_aps_grid(matrix: PerformanceMatrix, spec: PlotSpec | None = None,
     here, before any document is rendered: pairs with no common dataset
     are skipped with a warning instead of failing the batch, and a
     :class:`ZeroColumnError` is raised at the first pair that has one.
-    The documents themselves render only when ``plots`` is read.
+    The documents themselves render only when ``plots`` is read, each
+    from the scope its pair was checked with.
     """
     if matrix.n_algorithms < 2:
         raise DimensionMismatchError("grid needs at least 2 algorithms")
     plotter = _MiniPlots(matrix, spec or PlotSpec())
     pairs = permutations if ordered else combinations
-    plottable, warnings = [], []
+    scopes, warnings = [], []
     for x, y in pairs(matrix.algorithms, 2):
         try:
-            plotter.scope(x, y)
+            scopes.append(plotter.scope(x, y))
         except NoPlottablePointsError:
             warnings.append(f"{x} vs {y}: no datasets with both scores; skipped")
-            continue
-        plottable.append((x, y))
-    return GridResult(plots=PlotSequence(plotter, plottable),
+    return GridResult(plots=PlotSequence(plotter, scopes),
                       warnings=tuple(warnings))
 
 

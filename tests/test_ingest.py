@@ -155,29 +155,39 @@ def test_parse_wide_error_precedence(text, error, message):
     assert str(info.value) == message
 
 
-# How a score token reads, the same through both parsers: only the exact
-# spelling ``NaN`` (or an empty field), once stripped, is a gap; ``nan``
-# and the infinities parse as floats and are then rejected by their
-# range, never taken as gaps; tiny and negative-zero values are in
-# range.  A quote closed mid-field is read leniently: ``"0.2"5`` is 0.25
-# (an open question, kept as it is so that no fast path drifts from it).
+# How a score token reads, the same through both parsers and in a wide
+# row with or without a gap: only the exact spelling ``NaN`` (or an empty
+# field), once stripped, is a gap; ``nan`` and the infinities parse as
+# floats and are then rejected by their range, never taken as gaps; so
+# is anything else ``float`` reads, such as ``1_0`` (10.0); tiny and
+# negative-zero values are in range, and so is ``١`` (an Arabic-Indic
+# one).  A quoted field must end at its closing quote: ``"0.2"5`` and a
+# space after the quote are refused, not read as 0.25 or 0.5.
 @pytest.mark.parametrize("parse, text", [
     (parse_wide, "dataset,A,B\nd1,{},0.5\n"),
     (parse_long, "dataset,algorithm,score\nd1,A,{}\nd1,B,0.5\n"),
-], ids=["wide", "long"])
+    (parse_wide, "dataset,A,B,C\nd1,{},0.5,\n"),
+], ids=["wide", "long", "wide-gap"])
 @pytest.mark.parametrize("token, cell", [
     ("NaN", None), ("", None), (" NaN ", None), (" ", None),
     ("\tNaN", None), ("NaN\u00a0", None),
-    ("-0.0", "-0.0"), ("1e-400", "0.0"), ('"0.2"5', "0.25"),
+    ("-0.0", "-0.0"), ("1e-400", "0.0"), ("5e-324", "5e-324"),
+    ("\u0661", "1.0"),
+    ('"0.2"5', MalformedRowError), ('"0.5" ', MalformedRowError),
     ("nan", ScoreOutOfRangeError), (" nan ", ScoreOutOfRangeError),
     ("inf", ScoreOutOfRangeError), ("-inf", ScoreOutOfRangeError),
+    ("infinity", ScoreOutOfRangeError), ("1_0", ScoreOutOfRangeError),
 ])
 def test_score_token_reading(parse, text, token, cell):
-    if cell is ScoreOutOfRangeError:
+    if cell is MalformedRowError:
+        with pytest.raises(MalformedRowError) as info:
+            parse(text.format(token))
+        assert str(info.value) == "cannot read CSV: ',' expected after '\"'"
+    elif cell is ScoreOutOfRangeError:
         with pytest.raises(ScoreOutOfRangeError) as info:
             parse(text.format(token))
         assert str(info.value) == (
-            f"score {token.strip()} for ('d1', 'A') is outside [0, 1]")
+            f"score {float(token)!r} for ('d1', 'A') is outside [0, 1]")
     else:
         got = parse(text.format(token)).cells[0]
         assert got[1] == 0.5
@@ -199,6 +209,23 @@ def test_parse_wide_reads_its_text_once(monkeypatch):
     m = parse_wide("dataset,A,B\nd1, NaN ,0.5\nd2,0.25,\tNaN\n")
     assert len(calls) == 1
     assert m.cells == ((None, 0.5), (0.25, None))
+
+
+def test_parse_csv_splits_a_plain_wide_text_once(monkeypatch):
+    """Auto-detection splits the header line alone: the text after it is
+    split once, by ``parse_wide``."""
+    split = []
+
+    def counted(text, first):
+        split.append(text)  # runs once the first row is asked for
+        yield from plain_rows(text, first)
+
+    plain_rows = ingest._plain_rows
+    monkeypatch.setattr(ingest, "_plain_rows", counted)
+    m = parse_csv("dataset,A,B\nd1,0.5,0.25\nd2, NaN ,1\n")
+    assert split == ["dataset,A,B\n", "dataset,A,B\n",
+                     "d1,0.5,0.25\nd2, NaN ,1\n"]
+    assert m.cells == ((0.5, 0.25), (None, 1.0))
 
 
 def test_parse_skips_blank_lines_and_crlf_and_bom():

@@ -11,8 +11,9 @@ from apspace.core import (LengthMismatchError, UnknownAlgorithmError,
 from apspace.metrics import DimensionMismatchError
 from apspace.pca import BadComponentCountError, PcaProjection, pca_project
 from apspace.viz import (HighlightGroup, NoPlottablePointsError, PlotSpec,
-                         SameAlgorithmError, _Frame, _fmt, _pixel_text,
-                         mini_aps_grid, mini_aps_svg, pca_scatter_svg)
+                         SameAlgorithmError, _Frame, _MiniPlots, _fmt,
+                         _pixel_text, mini_aps_grid, mini_aps_svg,
+                         pca_scatter_svg)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -185,6 +186,22 @@ def test_grid_plots_is_a_re_iterable_sequence(fixture_matrix):
     part = plots[1:3]
     assert len(part) == 2 and part.labels == plots.labels[1:3]
     assert list(part) == first[1:3]
+
+
+def test_grid_scopes_each_pair_once(fixture_matrix, monkeypatch):
+    """Rendering reads the scope the grid kept for the pair."""
+    scoped = []
+    scope = _MiniPlots.scope
+
+    def counted(self, x, y):
+        scoped.append((x, y))
+        return scope(self, x, y)
+
+    monkeypatch.setattr(_MiniPlots, "scope", counted)
+    plots = mini_aps_grid(fixture_matrix, ordered=True).plots
+    assert len(scoped) == 20
+    rendered = [*plots, *plots[2:5], plots[7]]
+    assert len(rendered) == 24 and len(scoped) == 20
 
 
 def test_grid_two_algorithms_single_panel():
