@@ -9,15 +9,18 @@ bytes.  Two plot families:
 * PCA scatter — a 2-component projection, optionally colored by a
   per-dataset metric on a two-color gradient.
 
-Every point is a ``<circle>`` carrying a ``<title>`` child with the
+Every document is 600 x 600 px with the same frame; a :class:`PlotSpec`
+picks only the highlight groups and the legend title.  Every point is a
+``<circle>`` of radius 4 px carrying a ``<title>`` child with the
 dataset name, which browsers show as a hover tooltip.
 """
 
+import math
 import re
 from dataclasses import dataclass
 from html import escape as _html_escape
 from itertools import combinations, compress, permutations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -37,10 +40,11 @@ _GRADIENT_HIGH = "#d7191c"
 _NEUTRAL = "#999999"
 _AXIS_COLOR = "#333333"
 
-_MARGIN_LEFT = 62.0
-_MARGIN_RIGHT = 18.0
-_MARGIN_TOP = 18.0
-_MARGIN_BOTTOM = 78.0
+# every document is _SIZE x _SIZE px; the plot area spans these pixels,
+# and each point is a circle of radius _RADIUS px
+_SIZE = 600.0
+_LEFT, _RIGHT, _TOP, _BOTTOM = 62.0, 582.0, 18.0, 522.0
+_RADIUS = 4.0
 
 
 class NoPlottablePointsError(ApsError):
@@ -49,12 +53,6 @@ class NoPlottablePointsError(ApsError):
 
 class SameAlgorithmError(ApsError):
     """A scatter of an algorithm against itself was requested."""
-
-
-def _check_color(value: str, what: str) -> str:
-    if not _HEX_COLOR.match(value):
-        raise ValueError(f"{what} must be #rrggbb, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -70,28 +68,23 @@ class HighlightGroup:
             raise ValueError("highlight group needs a name")
         if not self.prefix:
             raise ValueError(f"highlight group {self.name!r} needs a prefix")
-        _check_color(self.color, f"highlight group {self.name!r} color")
+        if not _HEX_COLOR.match(self.color):
+            raise ValueError(f"highlight group {self.name!r} color must be "
+                             f"#rrggbb, got {self.color!r}")
 
 
 @dataclass(frozen=True)
 class PlotSpec:
-    """Rendering knobs shared by all plot kinds."""
+    """What a plot shows beyond its data.
 
-    width_px: float = 600.0
-    height_px: float = 600.0
-    point_radius_px: float = 4.0
-    point_color: str = _POINT_COLOR
+    ``highlight_groups`` colors datasets by name prefix, such as the
+    MovieLens family, the first matching group winning, and draws them
+    over the plain points.  ``color_by`` titles the legend of a PCA
+    scatter shaded by a metric.  The geometry is fixed (see the module).
+    """
+
     highlight_groups: tuple[HighlightGroup, ...] = ()
     color_by: str | None = None
-
-    def __post_init__(self):
-        if self.width_px <= 0 or self.height_px <= 0:
-            raise ValueError("plot dimensions must be positive")
-        if self.point_radius_px <= 0:
-            raise ValueError("point radius must be positive")
-        _check_color(self.point_color, "point color")
-
-
 
 
 def _fmt(x: float) -> str:
@@ -112,72 +105,59 @@ def _lerp_color(low: str, high: str, t: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*channels)
 
 
-class _Frame:
-    """Maps unit/data coordinates onto the pixel plot area."""
-
-    def __init__(self, spec: PlotSpec):
-        self.spec = spec
-        self.left = _MARGIN_LEFT
-        self.right = spec.width_px - _MARGIN_RIGHT
-        self.top = _MARGIN_TOP
-        self.bottom = spec.height_px - _MARGIN_BOTTOM
-
-    def x(self, frac: float) -> float:
-        return self.left + frac * (self.right - self.left)
-
-    def y(self, frac: float) -> float:
-        return self.bottom - frac * (self.bottom - self.top)
+def _x(frac):
+    """Pixel column of a fraction of the x axis, a float or an array."""
+    return _LEFT + frac * (_RIGHT - _LEFT)
 
 
-def _open_svg(spec: PlotSpec) -> list[str]:
-    w, h = _fmt(spec.width_px), _fmt(spec.height_px)
-    return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-        f'<rect x="0.00" y="0.00" width="{w}" height="{h}" fill="#ffffff"/>',
-    ]
+def _y(frac):
+    """Pixel row of a fraction of the y axis, a float or an array."""
+    return _BOTTOM - frac * (_BOTTOM - _TOP)
 
 
-def _axes(frame: _Frame, x_label: str, y_label: str,
-          tick_labels: tuple[str, str, str]) -> list[str]:
-    """Plot border, 0/0.5/1 ticks on both axes, and axis titles."""
-    parts = []
-    parts.append(
-        f'<rect x="{_fmt(frame.left)}" y="{_fmt(frame.top)}" '
-        f'width="{_fmt(frame.right - frame.left)}" '
-        f'height="{_fmt(frame.bottom - frame.top)}" '
-        f'fill="none" stroke="{_AXIS_COLOR}" stroke-width="1"/>')
-    for frac, label in zip((0.0, 0.5, 1.0), tick_labels):
-        px = frame.x(frac)
-        parts.append(
-            f'<line x1="{_fmt(px)}" y1="{_fmt(frame.bottom)}" '
-            f'x2="{_fmt(px)}" y2="{_fmt(frame.bottom + 5)}" '
-            f'stroke="{_AXIS_COLOR}" stroke-width="1"/>')
-        parts.append(
-            f'<text x="{_fmt(px)}" y="{_fmt(frame.bottom + 18)}" '
-            f'font-family="sans-serif" font-size="11" '
-            f'text-anchor="middle">{_escape(label)}</text>')
-        py = frame.y(frac)
-        parts.append(
-            f'<line x1="{_fmt(frame.left - 5)}" y1="{_fmt(py)}" '
-            f'x2="{_fmt(frame.left)}" y2="{_fmt(py)}" '
-            f'stroke="{_AXIS_COLOR}" stroke-width="1"/>')
-        parts.append(
-            f'<text x="{_fmt(frame.left - 8)}" y="{_fmt(py + 4)}" '
-            f'font-family="sans-serif" font-size="11" '
-            f'text-anchor="end">{_escape(label)}</text>')
-    mid_x = (frame.left + frame.right) / 2
-    mid_y = (frame.top + frame.bottom) / 2
-    parts.append(
-        f'<text x="{_fmt(mid_x)}" y="{_fmt(frame.bottom + 38)}" '
-        f'font-family="sans-serif" font-size="13" '
-        f'text-anchor="middle">{_escape(x_label)}</text>')
-    parts.append(
-        f'<text x="{_fmt(frame.left - 40)}" y="{_fmt(mid_y)}" '
-        f'font-family="sans-serif" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 {_fmt(frame.left - 40)} {_fmt(mid_y)})">'
-        f'{_escape(y_label)}</text>')
-    return parts
+def _text(x: float, y: float, label: str, size: int = 11,
+          anchor: str | None = "middle", rotate: bool = False,
+          suffix: str = "") -> str:
+    """``label`` escaped, then ``suffix`` as written; ``rotate`` turns it
+    a quarter turn counter-clockwise about its anchor point."""
+    x, y = _fmt(x), _fmt(y)
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    turn = f' transform="rotate(-90 {x} {y})"' if rotate else ""
+    return (f'<text x="{x}" y="{y}" font-family="sans-serif" '
+            f'font-size="{size}"{anchor}{turn}>{_escape(label)}{suffix}</text>')
+
+
+def _rect(x: float, y: float, width: float, height: float, paint: str) -> str:
+    return (f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(width)}" '
+            f'height="{_fmt(height)}" {paint}/>')
+
+
+def _tick(x1: float, y1: float, x2: float, y2: float) -> str:
+    return (f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
+            f'y2="{_fmt(y2)}" stroke="{_AXIS_COLOR}" stroke-width="1"/>')
+
+
+def _document(x_label: str, y_label: str, ticks: tuple[str, str, str],
+              circles: Iterable[str], legend: Iterable[str] = ()) -> str:
+    """One plot: background, frame, the ``ticks`` labels at 0, 0.5 and 1
+    of both axes, axis titles, then ``circles`` and ``legend``."""
+    size = _fmt(_SIZE)
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+             f'height="{size}" viewBox="0 0 {size} {size}">',
+             _rect(0.0, 0.0, _SIZE, _SIZE, 'fill="#ffffff"'),
+             _rect(_LEFT, _TOP, _RIGHT - _LEFT, _BOTTOM - _TOP,
+                   f'fill="none" stroke="{_AXIS_COLOR}" stroke-width="1"')]
+    for frac, label in zip((0.0, 0.5, 1.0), ticks):
+        px, py = _x(frac), _y(frac)
+        parts += [_tick(px, _BOTTOM, px, _BOTTOM + 5),
+                  _text(px, _BOTTOM + 18, label),
+                  _tick(_LEFT - 5, py, _LEFT, py),
+                  _text(_LEFT - 8, py + 4, label, anchor="end")]
+    parts += [_text((_LEFT + _RIGHT) / 2, _BOTTOM + 38, x_label, size=13),
+              _text(_LEFT - 40, (_TOP + _BOTTOM) / 2, y_label, size=13,
+                    rotate=True),
+              *circles, *legend, "</svg>"]
+    return "\n".join(parts) + "\n"
 
 
 def _point_tails(spec: PlotSpec, names: Sequence[str],
@@ -187,12 +167,12 @@ def _point_tails(spec: PlotSpec, names: Sequence[str],
 
     With ``fills``, point ``i`` takes ``fills[i]`` and input order is
     kept.  Otherwise a point takes the color of the first highlight
-    group whose prefix matches its name, else ``point_color``; plain
+    group whose prefix matches its name, else the plain color; plain
     points are drawn first, then each group in turn, so highlights stay
     on top.  ``tails`` follows the draw order.
     """
     groups = spec.highlight_groups
-    colors = (spec.point_color, *(g.color for g in groups))
+    colors = (_POINT_COLOR, *(g.color for g in groups))
     layers = [0] * len(names)
     if fills is None and groups:  # no per-point scan for plain plots
         layers = [next((n for n, g in enumerate(groups, 1)
@@ -200,7 +180,7 @@ def _point_tails(spec: PlotSpec, names: Sequence[str],
     order = sorted(range(len(names)), key=layers.__getitem__)  # stable
     if fills is None:
         fills = [colors[layer] for layer in layers]
-    r = _fmt(spec.point_radius_px)
+    r = _fmt(_RADIUS)
     tails = [f' r="{r}" fill="{fills[i]}"><title>{_escape(names[i])}</title>'
              '</circle>' for i in order]
     return order, tails
@@ -209,7 +189,7 @@ def _point_tails(spec: PlotSpec, names: Sequence[str],
 def _pixel_text(px: np.ndarray) -> list[str]:
     """Pixel coordinates computed by numpy, formatted as :func:`_fmt` does.
 
-    ``_Frame.x``/``_Frame.y`` over a float64 array do the same IEEE
+    :func:`_x`/:func:`_y` over a float64 array do the same IEEE
     divide, multiply and add per point as over one Python float.
     """
     return [f"{p:.2f}" for p in px.tolist()]
@@ -237,26 +217,24 @@ class _MiniPlots:
 
     def __init__(self, matrix: PerformanceMatrix, spec: PlotSpec):
         self.matrix = matrix
-        self.spec = spec
-        self.frame = _Frame(spec)
         order, self.tails = _point_tails(spec, matrix.datasets)
         self.values = matrix.values[order]
         self.present = ~np.isnan(self.values)
         self._column_max = np.fmax.reduce(self.values, axis=0,
                                           initial=-np.inf)
-        self._text: dict[tuple[str, int], np.ndarray] = {}
+        self._text: dict[tuple[Callable, int], np.ndarray] = {}
 
-    def _axis_text(self, axis: str, j: int, peak: float,
+    def _axis_text(self, to_pixel: Callable, j: int, peak: float,
                    both: np.ndarray) -> list[str]:
-        """Pixel text of column ``j`` scaled by ``peak``, for the
-        datasets in ``both``."""
-        to_pixel = self.frame.x if axis == "x" else self.frame.y
+        """Pixel text of column ``j`` scaled by ``peak`` and placed by
+        ``to_pixel`` (:func:`_x` or :func:`_y`), for the datasets in
+        ``both``."""
         if peak != self._column_max[j]:
             return _pixel_text(to_pixel(self.values[both, j] / peak))
-        if (axis, j) not in self._text:
-            self._text[axis, j] = np.array(
+        if (to_pixel, j) not in self._text:
+            self._text[to_pixel, j] = np.array(
                 _pixel_text(to_pixel(self.values[:, j] / peak)))
-        return self._text[axis, j][both].tolist()
+        return self._text[to_pixel, j][both].tolist()
 
     def scope(self, algo_x: str, algo_y: str
               ) -> tuple[int, int, float, float]:
@@ -286,14 +264,10 @@ class _MiniPlots:
         """The document of the plot :meth:`scope` returned."""
         both = self.present[:, jx] & self.present[:, jy]
         algorithms = self.matrix.algorithms
-        parts = _open_svg(self.spec)
-        parts += _axes(self.frame, algorithms[jx], algorithms[jy],
-                       ("0", "0.5", "1"))
-        parts += _circles(self._axis_text("x", jx, max_x, both),
-                          self._axis_text("y", jy, max_y, both),
-                          compress(self.tails, both.tolist()))
-        parts.append("</svg>")
-        return "\n".join(parts) + "\n"
+        return _document(algorithms[jx], algorithms[jy], ("0", "0.5", "1"),
+                         _circles(self._axis_text(_x, jx, max_x, both),
+                                  self._axis_text(_y, jy, max_y, both),
+                                  compress(self.tails, both.tolist())))
 
 
 class PlotSequence(Sequence[tuple[str, str]]):
@@ -375,39 +349,23 @@ def mini_aps_grid(matrix: PerformanceMatrix, spec: PlotSpec | None = None,
                       warnings=tuple(warnings))
 
 
-def _legend(frame: _Frame, title: str, low_label: str, high_label: str,
+def _legend(title: str, low_label: str, high_label: str,
             constant: bool) -> list[str]:
     """Horizontal gradient strip under the x-axis title."""
-    parts = []
-    y = frame.bottom + 48.0
-    x0 = frame.left
+    y = _BOTTOM + 48.0
     seg_w = 20.0
-    parts.append(
-        f'<text x="{_fmt(x0)}" y="{_fmt(y + 11)}" font-family="sans-serif" '
-        f'font-size="11" text-anchor="end">{_escape(title)}:&#160;</text>')
+    parts = [_text(_LEFT, y + 11, title, anchor="end", suffix=":&#160;")]
     if constant:
-        parts.append(
-            f'<rect x="{_fmt(x0 + 4)}" y="{_fmt(y)}" width="{_fmt(seg_w)}" '
-            f'height="14.00" fill="{_GRADIENT_LOW}"/>')
-        parts.append(
-            f'<text x="{_fmt(x0 + seg_w + 10)}" y="{_fmt(y + 11)}" '
-            f'font-family="sans-serif" font-size="11">'
-            f'{_escape(low_label)}</text>')
-        return parts
+        return [*parts,
+                _rect(_LEFT + 4, y, seg_w, 14.0, f'fill="{_GRADIENT_LOW}"'),
+                _text(_LEFT + seg_w + 10, y + 11, low_label, anchor=None)]
     for i in range(8):
         color = _lerp_color(_GRADIENT_LOW, _GRADIENT_HIGH, i / 7.0)
-        parts.append(
-            f'<rect x="{_fmt(x0 + 4 + i * seg_w)}" y="{_fmt(y)}" '
-            f'width="{_fmt(seg_w)}" height="14.00" fill="{color}"/>')
-    parts.append(
-        f'<text x="{_fmt(x0 + 4)}" y="{_fmt(y + 26)}" '
-        f'font-family="sans-serif" font-size="11" text-anchor="start">'
-        f'{_escape(low_label)}</text>')
-    parts.append(
-        f'<text x="{_fmt(x0 + 4 + 8 * seg_w)}" y="{_fmt(y + 26)}" '
-        f'font-family="sans-serif" font-size="11" text-anchor="end">'
-        f'{_escape(high_label)}</text>')
-    return parts
+        parts.append(_rect(_LEFT + 4 + i * seg_w, y, seg_w, 14.0,
+                           f'fill="{color}"'))
+    return [*parts,
+            _text(_LEFT + 4, y + 26, low_label, anchor="start"),
+            _text(_LEFT + 4 + 8 * seg_w, y + 26, high_label, anchor="end")]
 
 
 def pca_scatter_svg(projection: PcaProjection,
@@ -419,7 +377,9 @@ def pca_scatter_svg(projection: PcaProjection,
     two significant figures.  When ``metric_values`` is given (one value
     per projected dataset, ``None`` entries allowed), points are filled
     on a low-to-high gradient with a legend; missing values render
-    neutral gray.  A constant metric gets a single-swatch legend.
+    neutral gray.  A constant metric gets a single-swatch legend.  A NaN
+    or infinite value raises ``ValueError``: only ``None`` marks a
+    missing value.
     """
     spec = spec or PlotSpec()
     if projection.coordinates.shape[1] != 2:
@@ -438,17 +398,19 @@ def pca_scatter_svg(projection: PcaProjection,
         pad = 0.05 * (hi - lo) if hi > lo else 0.5
         spans.append((lo - pad, hi + pad))
     (x_lo, x_hi), (y_lo, y_hi) = spans
-    frame = _Frame(spec)
     pct = [float(r) * 100.0 for r in projection.explained_variance_ratio[:2]]
     x_label = f"component 1 ({pct[0]:.2g}% of variance)"
     y_label = f"component 2 ({pct[1]:.2g}% of variance)"
-    tick_of = lambda lo, hi: (f"{lo:.2f}", f"{(lo + hi) / 2:.2f}", f"{hi:.2f}")
-    parts = _open_svg(spec)
-    parts += _axes(frame, x_label, y_label, tick_of(x_lo, x_hi))
+    ticks = (f"{x_lo:.2f}", f"{(x_lo + x_hi) / 2:.2f}", f"{x_hi:.2f}")
 
     fills = None
     legend = []
     if metric_values is not None:
+        for name, v in zip(names, metric_values):
+            if v is not None and not math.isfinite(v):
+                raise ValueError(
+                    f"dataset {name!r} has metric value {v!r}; values must "
+                    "be finite, and None marks a missing value")
         present = [v for v in metric_values if v is not None]
         if not present:
             raise NoPlottablePointsError("every metric value is missing")
@@ -458,13 +420,11 @@ def pca_scatter_svg(projection: PcaProjection,
         fills = [_NEUTRAL if v is None else
                  _lerp_color(_GRADIENT_LOW, _GRADIENT_HIGH, (v - v_lo) / span)
                  for v in metric_values]
-        legend = _legend(frame, spec.color_by or "metric", f"{v_lo:.4f}",
+        legend = _legend(spec.color_by or "metric", f"{v_lo:.4f}",
                          "" if constant else f"{v_hi:.4f}", constant)
     order, tails = _point_tails(spec, names, fills)
     fx = (xs[order] - x_lo) / (x_hi - x_lo)
     fy = (ys[order] - y_lo) / (y_hi - y_lo)
-    parts += _circles(_pixel_text(frame.x(fx)), _pixel_text(frame.y(fy)),
-                      tails)
-    parts += legend
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document(x_label, y_label, ticks,
+                     _circles(_pixel_text(_x(fx)), _pixel_text(_y(fy)), tails),
+                     legend)

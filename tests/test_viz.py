@@ -11,8 +11,8 @@ from apspace.core import (LengthMismatchError, UnknownAlgorithmError,
 from apspace.metrics import DimensionMismatchError
 from apspace.pca import BadComponentCountError, PcaProjection, pca_project
 from apspace.viz import (HighlightGroup, NoPlottablePointsError, PlotSpec,
-                         SameAlgorithmError, _Frame, _MiniPlots, _fmt,
-                         _pixel_text, mini_aps_grid, mini_aps_svg,
+                         SameAlgorithmError, _MiniPlots, _fmt, _pixel_text,
+                         _x, _y, mini_aps_grid, mini_aps_svg,
                          pca_scatter_svg)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -62,8 +62,7 @@ def test_mini_plots_only_shared_datasets(fixture_matrix):
 
 def test_mini_normalization_puts_best_at_the_corner(fixture_matrix):
     # Jester tops both axes, so it must sit at the top-right of the frame
-    spec = PlotSpec(width_px=600, height_px=600)
-    pts = circles(mini_aps_svg(fixture_matrix, "BPR", "SGL", spec))
+    pts = circles(mini_aps_svg(fixture_matrix, "BPR", "SGL"))
     jester = next(p for p in pts if p[3] == "Jester")
     assert jester[0] == "582.00"  # width - right margin
     assert jester[1] == "18.00"   # top margin
@@ -277,15 +276,24 @@ def test_pca_scatter_errors(fixture_matrix):
         pca_scatter_svg(proj, metric_values=[None, None])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                 np.float64("nan")])
+def test_pca_scatter_refuses_non_finite_metric_values(bad):
+    proj = tiny_projection([[0.0, 0.0], [1.0, 1.0], [0.5, 0.2]])
+    with pytest.raises(ValueError) as info:
+        pca_scatter_svg(proj, metric_values=[0.5, bad, None])
+    message = str(info.value)
+    assert "'p1'" in message and repr(bad) in message
+    assert "None marks a missing value" in message
+    # None is the missing value, drawn neutral gray
+    fills = {p[3]: p[2] for p in circles(
+        pca_scatter_svg(proj, metric_values=[0.5, 0.7, None]))}
+    assert fills == {"p0": "#2c7bb6", "p1": "#d7191c", "p2": "#999999"}
+
+
 # ------------------------------------------------------------------ PlotSpec
 
 def test_plot_spec_validation():
-    with pytest.raises(ValueError):
-        PlotSpec(width_px=0)
-    with pytest.raises(ValueError):
-        PlotSpec(point_radius_px=-1)
-    with pytest.raises(ValueError):
-        PlotSpec(point_color="red")
     with pytest.raises(ValueError):
         HighlightGroup("g", "", "#112233")
     with pytest.raises(ValueError):
@@ -296,18 +304,16 @@ def test_plot_spec_validation():
 
 def test_numpy_pixels_match_scalar_arithmetic():
     # points are placed by numpy over whole columns; each coordinate must
-    # be the float, and the text, that the scalar _Frame path gives
+    # be the float, and the text, that the scalar _x/_y path gives
     values = np.random.default_rng(5).random(2000)
     peak = float(values.max())
-    for spec in (PlotSpec(), PlotSpec(width_px=333.3, height_px=1234.5)):
-        frame = _Frame(spec)
-        fracs = values / peak
-        scalar = [v / peak for v in values.tolist()]
-        assert fracs.tolist() == scalar
-        for to_pixel in (frame.x, frame.y):
-            assert to_pixel(fracs).tolist() == [to_pixel(f) for f in scalar]
-            assert _pixel_text(to_pixel(fracs)) == [_fmt(to_pixel(f))
-                                                    for f in scalar]
+    fracs = values / peak
+    scalar = [v / peak for v in values.tolist()]
+    assert fracs.tolist() == scalar
+    for to_pixel in (_x, _y):
+        assert to_pixel(fracs).tolist() == [to_pixel(f) for f in scalar]
+        assert _pixel_text(to_pixel(fracs)) == [_fmt(to_pixel(f))
+                                                for f in scalar]
 
 
 # ------------------------------------------------------------- byte pinning
