@@ -115,8 +115,7 @@ def _evaluate(vecs: Sequence[Sequence[float]], n_axes: int, variant: str):
              for i, j in combinations(range(len(vecs)), 2)]
     mu = left_sum(dists) / len(dists)
     var_d = left_sum((d - mu) ** 2 for d in dists) / len(dists)
-    ranges = [max(v[j] for v in vecs) - min(v[j] for v in vecs)
-              for j in range(n_axes)]
+    ranges = [max(c) - min(c) for c in zip(*vecs)]
     vol = math.prod(ranges)
     coverage = math.sqrt(vol) if variant == "literal-sqrt" else vol ** (1.0 / n_axes)
     score = (1.0 - var_d / (n_axes / 4.0)) * coverage

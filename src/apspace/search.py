@@ -134,7 +134,17 @@ def _prefix_blocks(n, size):
                np.arange(first + 1, n) <= last[:, None])
 
 
-def _block_keyer(P, n_axes, variant, sign):
+def _distances(rows, PT):
+    """Distances from each of the points ``rows`` to every point of
+    ``PT``, the points as columns; each sums its squared gaps in axis
+    order, so a distance has the same bits whichever rows ask for it."""
+    out = np.zeros((len(rows), PT.shape[1]))
+    for axis, col in enumerate(PT):  # one rows x n temporary per axis
+        out += (rows[:, axis, None] - col[None, :]) ** 2
+    return np.sqrt(out, out=out)
+
+
+def _block_keyer(P, n_axes, variant, sign, full=None):
     """Return ``keys(pre, start)``: the ``B x (n - start)`` keys ``sign *
     score`` of every ``pre[b] + (j,)`` with ``j >= start``, by the formula
     of ``metrics._evaluate`` over the points ``P``.  Each prefix's
@@ -152,20 +162,13 @@ def _block_keyer(P, n_axes, variant, sign):
     sign, so ``|a * b|`` is the float ``|a| * |b|``, and the key is the
     bits the formula gives; it needs two ``B x (n - start)`` arrays.
     A block of one prefix, such as greedy's addition step, computes that
-    prefix's rows of distances, ``(k - 1) x n``.  A block of many prefixes, as
-    every exhaustive scan gives, reads the n x n distance matrix, built
-    on the first such block and kept.  Every distance sums the same
-    terms in axis order, so the keys do not depend on which of these
-    paths computed them."""
+    prefix's rows of distances, ``(k - 1) x n``, unless the n x n
+    distance matrix ``full`` of :func:`_distances` is at hand.  A block
+    of many prefixes, as every exhaustive scan gives, reads ``full``,
+    built on the first such block and kept when the caller passed none.
+    Every distance sums the same terms in axis order, so the keys do not
+    depend on which of these paths computed them."""
     PT = P.T.copy()
-    full = None  # the n x n distance matrix, once a block needs it
-
-    def distances(rows):
-        """Distances from each of the points ``rows`` to every point."""
-        out = np.zeros((len(rows), len(P)))
-        for axis, col in enumerate(PT):  # one rows x n temporary per axis
-            out += (rows[:, axis, None] - col[None, :]) ** 2
-        return np.sqrt(out, out=out)
 
     def keys(pre, start):
         nonlocal full
@@ -186,11 +189,11 @@ def _block_keyer(P, n_axes, variant, sign):
                     else vol ** (1.0 / n_axes))
         if len(cols) == 1:
             return sign * coverage
-        if len(pre) == 1:  # row r of D: the prefix's r-th point
-            D, at = distances(P[pre[0]]), np.arange(len(cols))[:, None]
+        if full is None and len(pre) == 1:  # row r of D: the r-th point
+            D, at = _distances(P[pre[0]], PT), np.arange(len(cols))[:, None]
         else:
             if full is None:
-                full = distances(P)
+                full = _distances(P, PT)
             D, at = full, cols
         m = math.comb(len(cols) + 1, 2)
         inner = D[at[:, None], cols]  # each prefix pair twice
@@ -204,18 +207,27 @@ def _block_keyer(P, n_axes, variant, sign):
     return keys
 
 
-def _bounded_blocks(Q, size, variant, cut):
+def _bounded_blocks(Q, size, variant, D, cut):
     """Blocks, as :func:`_prefix_blocks` gives them, of the size-subsets
     of the rows of ``Q`` that the max-mode bound cannot rule out; the
-    search walks this tree for sizes 3 up to half the rows.
+    search walks this tree for sizes 3 up to half the rows.  ``D`` is
+    the distance matrix of ``Q`` from :func:`_distances`, or ``None`` at
+    size 3, where no prefix has the three rows the factor bound needs.
 
-    The factor ``1 - Var(D)/(n/4)`` of a score lies in [0, 1], so a
-    subset scores at most the coverage of its bounding box.  Every
-    completion of a prefix, whose other members come after the prefix's
-    last row, therefore scores at most the coverage of the box of the
-    prefix and all those rows.  A prefix, at any depth, whose bound key
-    ``-coverage`` lies more than ``_TIE_TOL`` above ``cut()``, the
-    running cut-off key, is dropped with all its completions.
+    A subset T of k rows scores ``factor * coverage``, with ``factor =
+    1 - Var(D_T)/(a/4)`` over its a axes.  Every completion of a prefix
+    S, whose other members come after the prefix's last row, has a
+    coverage of at most that of the box of the prefix and all those
+    rows.  S fixes C(d, 2) of T's C(k, 2) distances, and by the law of
+    total variance ``Var(D_T) >= C(d,2)/C(k,2) * Var(D_S)``, so T's
+    factor is at most ``1 - C(d,2)/C(k,2) * Var(D_S)/(a/4)``.  A score
+    is therefore at most the box's coverage times that factor bound
+    clipped at 0; ``Var(D_S)`` is ``S2/m - (S1/m)**2`` from the sums
+    ``S1``/``S2`` of the m = C(d, 2) distances and their squares, which
+    each prefix carries down the walk as it carries its box.  A prefix,
+    at any depth, whose bound key ``-bound`` lies more than ``_TIE_TOL``
+    above ``cut()``, the running cut-off key, is dropped with all its
+    completions.
 
     Prefixes grow depth-first, at most ``_BATCH // n`` at a time.  Those
     of ``size - 1`` rows gather until there are that many, then go out
@@ -241,7 +253,7 @@ def _bounded_blocks(Q, size, variant, cut):
                 start = part[0, -1] + 1
                 yield part, start, np.arange(start, n) <= part[:, -1:]
 
-    def grow(pre, lo, hi):
+    def grow(pre, lo, hi, s1=None, s2=None):
         depth = pre.shape[1]
         last = pre[:, -1] if depth else np.full(1, -1)
         j = np.arange(last.min() + 1, n - size + depth + 1)
@@ -251,23 +263,42 @@ def _bounded_blocks(Q, size, variant, cut):
                   else vol ** (1.0 / n_axes))
         b, w = divmod(np.flatnonzero((j > last[:, None])
                                     & (bound <= cut() + _TIE_TOL)), len(j))
-        pre, bound = np.column_stack([pre[b], j[w]]), bound[b, w]
+        bound = bound[b, w]
+        # the factor only lifts a bound key toward 0, so against a cut-off
+        # key at or above -_TIE_TOL it prunes nothing and leaves skip it;
+        # before any cut-off, leaves keep it for the flush
+        sharp = not 0.0 <= cut() + _TIE_TOL < math.inf
+        if D is not None and (sharp or depth + 2 < size):
+            gaps = D[pre[b], j[w, None]]  # the new row to the prefix's rows
+            s1 = s1[b] + gaps.sum(axis=1)
+            s2 = s2[b] + (gaps * gaps).sum(axis=1)
+            if sharp and depth >= 2:  # a prefix of three rows or more
+                m = math.comb(depth + 1, 2)
+                var_d = s2 / m - (s1 / m) ** 2
+                bound *= np.maximum(
+                    1.0 - var_d * (m / math.comb(size, 2) / (n_axes / 4.0)),
+                    0.0)
+                keep = np.flatnonzero(bound <= cut() + _TIE_TOL)
+                b, w, bound = b[keep], w[keep], bound[keep]
+                s1, s2 = s1[keep], s2[keep]
+        pre = np.column_stack([pre[b], j[w]])
         if depth + 2 == size:
             leaves.append((pre, bound))
             if sum(len(part) for part, _ in leaves) >= width:
                 yield from flush()
             return
         row = Q[j[w]]
-        lo, hi = np.minimum(lo[b], row), np.maximum(hi[b], row)
+        parts = (pre, np.minimum(lo[b], row), np.maximum(hi[b], row))
+        if D is not None:
+            parts += (s1, s2)
         for at in range(0, len(pre), width):
             keep = bound[at:at + width] <= cut() + _TIE_TOL
             if keep.any():
-                yield from grow(pre[at:at + width][keep],
-                                lo[at:at + width][keep],
-                                hi[at:at + width][keep])
+                yield from grow(*(part[at:at + width][keep]
+                                  for part in parts))
 
     yield from grow(np.empty((1, 0), np.intp), np.full((1, n_axes), np.inf),
-                    np.full((1, n_axes), -np.inf))
+                    np.full((1, n_axes), -np.inf), np.zeros(1), np.zeros(1))
     if leaves:
         yield from flush()
 
@@ -280,7 +311,7 @@ def _far_first(P):
                       kind="stable")
 
 
-def _top(P, variant, sign, blocks, top_k, order=None):
+def _top(P, variant, sign, blocks, top_k, order=None, full=None):
     """The ``top_k`` smallest ``((sign * score, idx), score)`` over every
     candidate of ``blocks``, as :func:`_prefix_blocks` gives them, where
     ``P`` holds the points of the sorted names and ``idx`` is a
@@ -289,7 +320,8 @@ def _top(P, variant, sign, blocks, top_k, order=None):
     index the rows of ``P[order]``, and each candidate is mapped back to
     ranks in the sorted names.  ``blocks`` may also be a function of
     ``cut()``, the running cut-off key (``math.inf`` until ``top_k`` are
-    kept), that returns the blocks.
+    kept), that returns the blocks.  ``full``, if given, is the distance
+    matrix of the rows the blocks index (see :func:`_block_keyer`).
 
     :func:`_block_keyer` sums in another order than the scalar code, so
     its keys can differ from the scalar ones in the last bits.  A
@@ -308,7 +340,7 @@ def _top(P, variant, sign, blocks, top_k, order=None):
     n_axes = P.shape[1]
     rank = np.arange(len(P)) if order is None else order
     keys_of = _block_keyer(P if order is None else P[order], n_axes,
-                           variant, sign)
+                           variant, sign, full)
     best = []
 
     def worst():
@@ -394,8 +426,9 @@ def exhaustive_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
     either way ties fall to the lexicographically smaller name tuple.
     Min mode scores every subset.  Max mode, for sizes 3 up to half the
     rows, enumerates the rows farthest from the centroid first and skips
-    every subset that the coverage bound of :func:`_bounded_blocks`
-    rules out.  Other sizes are scored in full: pairs in the row strips
+    every subset that the bound of :func:`_bounded_blocks`, box coverage
+    times a cap on the factor from a prefix's distance variance, rules
+    out.  Other sizes are scored in full: pairs in the row strips
     of :func:`_prefix_blocks`, which cost less than the walk, and larger
     subsets because their prefix tree holds more nodes than there are
     candidates.  ``candidates_evaluated`` is C(n, k) either way.
@@ -405,9 +438,12 @@ def exhaustive_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
     names, points, sign = _prepare(matrix, size, mode, variant)
     if mode == "max" and 2 < size <= len(names) // 2:
         order = _far_first(points)
+        Q = points[order]
+        # the walk and the block keyer share one n x n distance matrix
+        full = _distances(Q, Q.T) if size > 3 else None
         best = _top(points, variant, sign,
-                    partial(_bounded_blocks, points[order], size, variant),
-                    top_k, order)
+                    partial(_bounded_blocks, Q, size, variant, full),
+                    top_k, order, full)
     else:
         best = _top(points, variant, sign,
                     _prefix_blocks(len(names), size), top_k)

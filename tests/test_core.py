@@ -7,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_matrix
-from apspace.core import (DuplicateCellError, EmptyRowError, InvalidLabelError,
-                          ScoreOutOfRangeError, UnknownAlgorithmError,
-                          UnknownDatasetError, build_matrix)
+from apspace.core import (DuplicateCellError, EmptyRowError, Grid,
+                          InvalidLabelError, ScoreOutOfRangeError,
+                          UnknownAlgorithmError, UnknownDatasetError,
+                          build_matrix)
 
 
 def test_build_matrix_first_seen_order():
@@ -47,6 +48,16 @@ def test_build_matrix_rejects_out_of_range(bad):
 def test_build_matrix_accepts_boundaries():
     m = build_matrix([("d", "a", 0.0), ("d", "b", 1.0)])
     assert m.row("d") == (0.0, 1.0)
+
+
+def test_grid_is_sized_like_its_records():
+    grid = Grid(("d", "e"), ("x", "y", "z"),
+                ((0.5, None, 0.25), (None, 1.0, 0.0)))
+    assert len(grid) == 6
+    assert list(grid) == [("d", "x", 0.5), ("d", "y", None),
+                          ("d", "z", 0.25), ("e", "x", None),
+                          ("e", "y", 1.0), ("e", "z", 0.0)]
+    assert build_matrix(grid) == build_matrix(list(grid))
 
 
 def test_build_matrix_empty_row():

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_matrix
-from apspace.core import left_sum
+from apspace.core import PerformanceMatrix, left_sum
 from apspace.ingest import parse_wide, validate
 from apspace.metrics import (DIFFICULTY_ORIENTATIONS, DimensionMismatchError,
                              IncompletePointError, NoDataError,
@@ -233,6 +233,16 @@ def test_metric_table_orientation_passthrough():
     raw = metric_table(m, "raw-mean")
     assert raw.orientation == "raw-mean"
     assert raw.row("d").difficulty == pytest.approx(0.3)
+
+
+def test_metric_table_refuses_bad_input():
+    with pytest.raises(ValueError, match="unknown orientation 'flipped'"):
+        metric_table(make_matrix({"d": [0.5]}), "flipped")
+    # build_matrix refuses an all-gap row; a matrix built directly can hold one
+    m = PerformanceMatrix(algorithms=("a", "b"), datasets=("d", "e"),
+                          cells=((0.5, None), (None, None)))
+    with pytest.raises(NoDataError, match="at least one present score"):
+        metric_table(m)
 
 
 def test_metric_table_unknown_row():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import make_matrix, random_matrix
 from apspace import search
 from apspace.core import UnknownDatasetError, build_matrix
-from apspace.metrics import DimensionMismatchError, _evaluate
+from apspace.metrics import DimensionMismatchError, _evaluate, diversity
 from apspace.search import (IncompleteDatasetError, InvalidSelectionError,
                             NoCompleteRowsError, SizeTooLargeError,
                             exhaustive_search, greedy_search, score_selection)
@@ -304,10 +304,11 @@ def test_exhaustive_matches_scalar_reference(matrix, data, batch):
 def test_bounded_search_matches_unpruned_scan(matrix, data, mode, variant,
                                               batch):
     """With 10-16 rows, the bounded max-mode search prunes after its
-    first blocks; ranks, name tuples, exact score floats and the
-    candidate count still equal the scan over every candidate."""
+    first blocks, from size 4 on by the distance-variance bound too;
+    ranks, name tuples, exact score floats and the candidate count still
+    equal the scan over every candidate."""
     n = len(matrix.datasets)
-    size = data.draw(st.integers(2, min(5, n)))
+    size = data.draw(st.integers(2, min(6, n)))
     top_k = data.draw(st.integers(1, 4))
     with mock.patch.object(search, "_BATCH", batch):
         res = exhaustive_search(matrix, size, mode, top_k=top_k,
@@ -318,10 +319,29 @@ def test_bounded_search_matches_unpruned_scan(matrix, data, mode, variant,
 
 
 def test_bounded_search_matches_unpruned_scan_on_corpus(fixture_matrix):
-    res = exhaustive_search(fixture_matrix, 5, "max", top_k=3)
-    assert res.candidates_evaluated == 575757
-    assert [(s.datasets, s.score, s.rank) for s in res.top] == _unpruned(
-        fixture_matrix, 5, "max", "nth-root", 3)
+    for size, count in ((5, 575757), (6, 3262623)):
+        res = exhaustive_search(fixture_matrix, size, "max", top_k=3)
+        assert res.candidates_evaluated == count
+        assert [(s.datasets, s.score, s.rank) for s in res.top] == \
+            _unpruned(fixture_matrix, size, "max", "nth-root", 3)
+
+
+_points = st.one_of(st.floats(0, 1), st.integers(0, 10).map(lambda v: v / 10))
+
+
+@given(data=st.data(), size=st.integers(3, 6), n_axes=st.integers(2, 6))
+def test_prefix_fixes_a_share_of_the_distance_variance(data, size, n_axes):
+    """The law of total variance behind the bound of
+    :func:`search._bounded_blocks`: the C(d, 2) distances among d >= 3
+    of k points carry at least their share of the variance of all C(k, 2)
+    distances, ``Var(D_T) >= C(d,2)/C(k,2) * Var(D_S)``, up to rounding."""
+    rows = data.draw(st.lists(st.lists(_points, min_size=n_axes,
+                                       max_size=n_axes),
+                              min_size=size, max_size=size))
+    d = data.draw(st.integers(3, size))
+    whole = diversity(rows).distance_variance
+    prefix = diversity(rows[:d]).distance_variance
+    assert whole >= math.comb(d, 2) / math.comb(size, 2) * prefix - 1e-12
 
 
 def _count_block_scored():
@@ -342,7 +362,10 @@ def _count_block_scored():
 
 def test_bounded_search_scores_a_fraction_of_the_corpus(fixture_matrix):
     """At k=4 the bound leaves under a quarter of the 82,251 quadruples
-    to the block keyer; min mode has no bound and scores all of them."""
+    to the block keyer; min mode has no bound and scores all of them.
+    From k=5 on, the distance variance of a prefix of three or more rows
+    caps the factor too: the box alone leaves 56,867 keys at k=5 and
+    455,710 at k=6, the two bounds together under 15,000 and 40,000."""
     patch, scored = _count_block_scored()
     with patch:
         exhaustive_search(fixture_matrix, 4, "max", top_k=3)
@@ -350,6 +373,20 @@ def test_bounded_search_scores_a_fraction_of_the_corpus(fixture_matrix):
         scored[0] = 0
         exhaustive_search(fixture_matrix, 4, "min", top_k=3)
         assert scored[0] >= 82251
+        for size, most in ((5, 15000), (6, 40000)):
+            scored[0] = 0
+            exhaustive_search(fixture_matrix, size, "max", top_k=3)
+            assert 0 < scored[0] <= most
+
+
+@pytest.mark.parametrize("size", [3, 4, 6])
+def test_bounded_search_builds_one_distance_matrix(fixture_matrix, size):
+    """The walk and the block keyer read one 39 x 39 distance matrix;
+    at k=3 the walk needs none, and the keyer builds it."""
+    with mock.patch.object(search, "_distances",
+                           wraps=search._distances) as distances:
+        exhaustive_search(fixture_matrix, size, "max", top_k=3)
+    assert [len(call.args[0]) for call in distances.call_args_list] == [39]
 
 
 @pytest.mark.parametrize("mode, rescored", [("max", [3, 3, 3, 6]),

@@ -9,6 +9,7 @@ PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 PROBES = '''\
 import warnings
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 
@@ -20,13 +21,18 @@ def test_property_must_fail(n):
 
 def test_deprecation_must_fail():
     warnings.warn("old call", DeprecationWarning)
+
+
+def test_overflow_must_fail():
+    np.float64(1e300) * 1e300
 '''
 
 
 def test_failing_property_prints_its_example(tmp_path):
     """A failing ``@given`` test ends in a failure report with its
     falsifying example (hypothesis may import libcst to write it), and a
-    ``DeprecationWarning`` raised in a test still fails that test."""
+    ``DeprecationWarning`` or a numpy overflow (a ``RuntimeWarning``)
+    raised in a test still fails that test."""
     (tmp_path / "test_probes.py").write_text(PROBES, encoding="utf-8")
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
@@ -35,4 +41,4 @@ def test_failing_property_prints_its_example(tmp_path):
     output = done.stdout + done.stderr
     assert done.returncode == 1, output
     assert "Falsifying example" in output
-    assert "2 failed" in output
+    assert "3 failed" in output
