@@ -161,17 +161,15 @@ def _block_keyer(P, n_axes, variant, sign, full=None):
     buffer, then takes one ``abs``: rounding does not depend on the
     sign, so ``|a * b|`` is the float ``|a| * |b|``, and the key is the
     bits the formula gives; it needs two ``B x (n - start)`` arrays.
-    A block of one prefix, such as greedy's addition step, computes that
-    prefix's rows of distances, ``(k - 1) x n``, unless the n x n
-    distance matrix ``full`` of :func:`_distances` is at hand.  A block
-    of many prefixes, as every exhaustive scan gives, reads ``full``,
-    built on the first such block and kept when the caller passed none.
+    Other blocks read the n x n distance matrix ``full`` of
+    :func:`_distances`, which every exhaustive search above pairs passes
+    in; without it, as in greedy's addition step, a block computes its
+    prefixes' own rows of distances, ``(k - 1) x n`` for one prefix.
     Every distance sums the same terms in axis order, so the keys do not
     depend on which of these paths computed them."""
     PT = P.T.copy()
 
     def keys(pre, start):
-        nonlocal full
         cols = pre.T
         if len(cols) == 1:  # a pair's box spans |x - y| on each axis
             vol = PT[0][pre] - PT[0][start:]
@@ -189,11 +187,10 @@ def _block_keyer(P, n_axes, variant, sign, full=None):
                     else vol ** (1.0 / n_axes))
         if len(cols) == 1:
             return sign * coverage
-        if full is None and len(pre) == 1:  # row r of D: the r-th point
-            D, at = _distances(P[pre[0]], PT), np.arange(len(cols))[:, None]
+        if full is None:  # row at[r, b] of D: point r of prefix b
+            D, at = _distances(P[pre.ravel()], PT), np.arange(pre.size)
+            at = at.reshape(pre.shape).T
         else:
-            if full is None:
-                full = _distances(P, PT)
             D, at = full, cols
         m = math.comb(len(cols) + 1, 2)
         inner = D[at[:, None], cols]  # each prefix pair twice
@@ -211,8 +208,7 @@ def _bounded_blocks(Q, size, variant, D, cut):
     """Blocks, as :func:`_prefix_blocks` gives them, of the size-subsets
     of the rows of ``Q`` that the max-mode bound cannot rule out; the
     search walks this tree for sizes 3 up to half the rows.  ``D`` is
-    the distance matrix of ``Q`` from :func:`_distances`, or ``None`` at
-    size 3, where no prefix has the three rows the factor bound needs.
+    the distance matrix of ``Q`` from :func:`_distances`.
 
     A subset T of k rows scores ``factor * coverage``, with ``factor =
     1 - Var(D_T)/(a/4)`` over its a axes.  Every completion of a prefix
@@ -253,7 +249,7 @@ def _bounded_blocks(Q, size, variant, D, cut):
                 start = part[0, -1] + 1
                 yield part, start, np.arange(start, n) <= part[:, -1:]
 
-    def grow(pre, lo, hi, s1=None, s2=None):
+    def grow(pre, lo, hi, s1, s2):
         depth = pre.shape[1]
         last = pre[:, -1] if depth else np.full(1, -1)
         j = np.arange(last.min() + 1, n - size + depth + 1)
@@ -263,24 +259,19 @@ def _bounded_blocks(Q, size, variant, D, cut):
                   else vol ** (1.0 / n_axes))
         b, w = divmod(np.flatnonzero((j > last[:, None])
                                     & (bound <= cut() + _TIE_TOL)), len(j))
-        bound = bound[b, w]
-        # the factor only lifts a bound key toward 0, so against a cut-off
-        # key at or above -_TIE_TOL it prunes nothing and leaves skip it;
-        # before any cut-off, leaves keep it for the flush
-        sharp = not 0.0 <= cut() + _TIE_TOL < math.inf
-        if D is not None and (sharp or depth + 2 < size):
+        bound, s1, s2 = bound[b, w], s1[b], s2[b]
+        if size > 3:  # the sums of a prefix that reaches three rows
             gaps = D[pre[b], j[w, None]]  # the new row to the prefix's rows
-            s1 = s1[b] + gaps.sum(axis=1)
-            s2 = s2[b] + (gaps * gaps).sum(axis=1)
-            if sharp and depth >= 2:  # a prefix of three rows or more
-                m = math.comb(depth + 1, 2)
-                var_d = s2 / m - (s1 / m) ** 2
-                bound *= np.maximum(
-                    1.0 - var_d * (m / math.comb(size, 2) / (n_axes / 4.0)),
-                    0.0)
-                keep = np.flatnonzero(bound <= cut() + _TIE_TOL)
-                b, w, bound = b[keep], w[keep], bound[keep]
-                s1, s2 = s1[keep], s2[keep]
+            s1 += gaps.sum(axis=1)
+            s2 += (gaps * gaps).sum(axis=1)
+        if depth >= 2:  # a prefix of three rows or more
+            m = math.comb(depth + 1, 2)
+            var_d = s2 / m - (s1 / m) ** 2
+            bound *= np.maximum(
+                1.0 - var_d * (m / math.comb(size, 2) / (n_axes / 4.0)), 0.0)
+            keep = np.flatnonzero(bound <= cut() + _TIE_TOL)
+            b, w, bound = b[keep], w[keep], bound[keep]
+            s1, s2 = s1[keep], s2[keep]
         pre = np.column_stack([pre[b], j[w]])
         if depth + 2 == size:
             leaves.append((pre, bound))
@@ -288,9 +279,7 @@ def _bounded_blocks(Q, size, variant, D, cut):
                 yield from flush()
             return
         row = Q[j[w]]
-        parts = (pre, np.minimum(lo[b], row), np.maximum(hi[b], row))
-        if D is not None:
-            parts += (s1, s2)
+        parts = (pre, np.minimum(lo[b], row), np.maximum(hi[b], row), s1, s2)
         for at in range(0, len(pre), width):
             keep = bound[at:at + width] <= cut() + _TIE_TOL
             if keep.any():
@@ -436,17 +425,15 @@ def exhaustive_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     names, points, sign = _prepare(matrix, size, mode, variant)
+    order = None
     if mode == "max" and 2 < size <= len(names) // 2:
         order = _far_first(points)
-        Q = points[order]
-        # the walk and the block keyer share one n x n distance matrix
-        full = _distances(Q, Q.T) if size > 3 else None
-        best = _top(points, variant, sign,
-                    partial(_bounded_blocks, Q, size, variant, full),
-                    top_k, order, full)
-    else:
-        best = _top(points, variant, sign,
-                    _prefix_blocks(len(names), size), top_k)
+    Q = points if order is None else points[order]
+    # one distance matrix, read by the walk and the block keyer
+    full = _distances(Q, Q.T) if size > 2 else None
+    blocks = (_prefix_blocks(len(names), size) if order is None
+              else partial(_bounded_blocks, Q, size, variant, full))
+    best = _top(points, variant, sign, blocks, top_k, order, full)
     top = tuple(Selection(datasets=tuple(names[i] for i in idx), score=score,
                           rank=rank)
                 for rank, ((_, idx), score) in enumerate(best, 1))

@@ -379,13 +379,16 @@ def test_bounded_search_scores_a_fraction_of_the_corpus(fixture_matrix):
             assert 0 < scored[0] <= most
 
 
-@pytest.mark.parametrize("size", [3, 4, 6])
-def test_bounded_search_builds_one_distance_matrix(fixture_matrix, size):
-    """The walk and the block keyer read one 39 x 39 distance matrix;
-    at k=3 the walk needs none, and the keyer builds it."""
+@pytest.mark.parametrize("mode", ["max", "min"])
+@pytest.mark.parametrize("size", [3, 4, 37])
+def test_exhaustive_search_builds_one_distance_matrix(fixture_matrix, mode,
+                                                      size):
+    """Every exhaustive search above pairs builds one 39 x 39 distance
+    matrix up front; in max mode the walk and the block keyer both read
+    it, beyond half the rows the plain scan does."""
     with mock.patch.object(search, "_distances",
                            wraps=search._distances) as distances:
-        exhaustive_search(fixture_matrix, size, "max", top_k=3)
+        exhaustive_search(fixture_matrix, size, mode, top_k=3)
     assert [len(call.args[0]) for call in distances.call_args_list] == [39]
 
 
@@ -475,10 +478,11 @@ def test_block_keys_match_scalar_scores(matrix, data, batch):
     exhaustive blocks, which hold each subset exactly once, and over a
     greedy block, whose extensions also lie below its prefix.
 
-    The greedy block reads its prefix's own rows of distances, a block
-    of many prefixes the n x n matrix; both give the same keys, before
-    and after that matrix is built.  A pair block reads no distance: one
-    distance has variance exactly 0, so its key is ``sign * coverage``."""
+    A keyer given the n x n distance matrix reads it; one without it
+    computes each block's own rows of distances, for the greedy block
+    and for a block of two prefixes alike.  Both give the same keys.  A
+    pair block reads no distance: one distance has variance exactly 0,
+    so its key is ``sign * coverage``."""
     names = _complete_names(matrix)
     P = matrix.values[[matrix.dataset_index(d) for d in names]]
     n, n_axes = P.shape
@@ -494,8 +498,10 @@ def test_block_keys_match_scalar_scores(matrix, data, batch):
     greedy = (np.array([subset]), 0, np.isin(np.arange(n), subset)[None])
     for sign in (-1.0, 1.0):
         for variant in ("nth-root", "literal-sqrt"):
-            keys_of = search._block_keyer(P, n_axes, variant, sign)
-            before = keys_of(*greedy[:2])
+            keys_of = search._block_keyer(P, n_axes, variant, sign,
+                                          search._distances(P, P.T))
+            rows_of = search._block_keyer(P, n_axes, variant, sign)
+            before = rows_of(*greedy[:2])
             seen = []
             for pre, start, skip in [greedy, *blocks]:
                 keys = keys_of(pre, start)
@@ -513,7 +519,7 @@ def test_block_keys_match_scalar_scores(matrix, data, batch):
             # after the greedy block's candidates, every subset once
             assert sorted(seen[n - size + 1:]) == list(
                 combinations(range(n), size))
-            twice = keys_of(np.array([subset, subset]), 0)
+            twice = rows_of(np.array([subset, subset]), 0)
             assert (twice == before).all()
             assert (keys_of(*greedy[:2]) == before).all()
 
