@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 user error (flags/config), 2 data error
 """
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -23,7 +24,8 @@ from . import ingest
 from .metrics import (DIFFICULTY_ORIENTATIONS, DIVERSITY_VARIANTS,
                       metric_table)
 from .pca import IMPUTATION_MODES, pca_project
-from .search import SEARCH_MODES, exhaustive_search, greedy_search
+from .search import (SEARCH_MODES, _prepare, exhaustive_search,
+                     greedy_search)
 from .viz import PlotSpec, mini_aps_grid, pca_scatter_svg
 
 class _UserError(Exception):
@@ -94,7 +96,13 @@ class _Parser(argparse.ArgumentParser):
         return ns, extras
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``aps`` parser, built on first use and shared by every later
+    ``run`` in the process.  It holds only module constants, and parsing
+    writes only to a fresh namespace.  Each command's handler and check
+    are bound here, so a test patches what a handler calls (say
+    ``cli.metric_table``), never a ``_cmd_*`` function."""
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("common options")
     g.add_argument("--input", "-i", dest="input_path", metavar="INPUT",
@@ -271,6 +279,9 @@ def _check_select(ns: argparse.Namespace) -> None:
 
 def _cmd_select(matrix: PerformanceMatrix, cfg: RunConfig,
                 ns: argparse.Namespace) -> int:
+    # the largest size fails now if it exceeds the complete rows, before
+    # the smaller sizes are searched
+    _prepare(matrix, max(ns.sizes), ns.mode, cfg.diversity_variant)
     rows, result = [], None
     for size in ns.sizes:
         if ns.strategy == "greedy":  # each size grows the one before it
@@ -406,7 +417,10 @@ def _cmd_report(matrix: PerformanceMatrix, cfg: RunConfig,
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse argv, run one subcommand, return the process exit code."""
+    """Parse argv, run one subcommand, return the process exit code.
+
+    May be called any number of times in one process: the parser is
+    built on the first call and reused after that."""
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)

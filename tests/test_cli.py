@@ -13,7 +13,7 @@ import pytest
 
 import apspace
 from conftest import make_matrix, random_matrix
-from apspace.cli import RunConfig, _write_atomic, run
+from apspace.cli import RunConfig, _build_parser, _write_atomic, run
 from apspace.ingest import (fixture_path, load_thesis_matrix, write_long,
                             write_wide)
 from apspace.metrics import metric_table
@@ -162,6 +162,20 @@ def test_flag_errors_come_before_reading_input(tmp_path, capsys, argv,
     missing = tmp_path / "missing.csv"
     assert run([*argv, "-i", str(missing), "-o", str(tmp_path)]) == 1
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "greedy"])
+def test_select_range_past_the_complete_rows_fails_before_any_search(
+        outdir, capsys, strategy):
+    """The top of ``--size A..B`` is checked against the complete rows
+    first: 2..40 on the 39-row corpus searches no size at all."""
+    with mock.patch("apspace.search._top",
+                    side_effect=AssertionError("searched")):
+        assert run(["select", "--size", "2..40", "--strategy", strategy,
+                    "-i", FIXTURE, "-o", str(outdir)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: subset size 40 exceeds the 39 complete rows\n")
+    assert not (outdir / "selections.csv").exists()
 
 
 def test_select_greedy_top_one_is_accepted(outdir):
@@ -608,16 +622,58 @@ def test_outputs_parse_under_own_readers(outdir):
 
 def test_cli_import_leaves_out_the_network_stack():
     """``apspace.cli`` must not pull in ``urllib.request`` (and with it
-    ``http.client``, ``email`` and ``ssl``): every command pays the import."""
+    ``http.client``, ``email`` and ``ssl``): every command pays the import.
+    Nor does the import build the parser; the first ``run`` does."""
     source_root = str(Path(apspace.__file__).resolve().parents[1])
     probe = ("import sys, apspace.cli; "
              "print(sorted(m for m in ('urllib.request', 'http.client', "
-             "'ssl', 'xml.sax') if m in sys.modules))")
+             "'ssl', 'xml.sax') if m in sys.modules)); "
+             "print(apspace.cli._build_parser.cache_info().currsize)")
     result = subprocess.run([sys.executable, "-c", probe],
                             capture_output=True, text=True, timeout=120,
                             env={**os.environ, "PYTHONPATH": source_root})
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert result.stdout == "[]\n0\n"
+
+
+# Help, usage and flag errors, and commands whose flags differ, so a
+# value one parse left behind would show in the next one.
+SHARED_PARSER_SEQUENCE = [
+    ["--help"],
+    ["select", "--size", "x"],
+    ["plot", "mini", "--ordered"],
+    ["plot", "mini"],
+    ["select", "--strategy", "greedy", "--size", "2..4"],
+    ["select", "--size", "2..3", "--top", "2"],
+    ["bogus"],
+]
+
+
+def test_shared_parser_carries_nothing_between_runs(tmp_path, capsys):
+    """Commands run in sequence on the one parser give exactly what each
+    gives on a freshly built parser: exit code, stdout, stderr and the
+    bytes of every file written."""
+    assert _build_parser() is _build_parser()
+    base = tmp_path / "out"
+
+    def outcomes(fresh):
+        seen = []
+        for i, argv in enumerate(SHARED_PARSER_SEQUENCE):
+            if fresh:
+                _build_parser.cache_clear()
+            outdir = base / str(i)
+            code = run([*argv, "-i", FIXTURE, "-o", str(outdir)])
+            out, err = capsys.readouterr()
+            files = ({p.name: p.read_bytes() for p in outdir.iterdir()}
+                     if outdir.exists() else {})
+            seen.append((code, out, err, files))
+        shutil.rmtree(base, ignore_errors=True)
+        return seen
+
+    shared = outcomes(fresh=False)
+    assert [(code, len(files)) for code, _, _, files in shared] == [
+        (0, 0), (1, 0), (0, 20), (0, 10), (0, 1), (0, 1), (1, 0)]
+    assert shared == outcomes(fresh=True)
 
 
 def test_console_script_entry_point(tmp_path):
