@@ -34,13 +34,14 @@ class _UserError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved options for one run; the field defaults are the CLI's."""
+    """Fully resolved options for one run; the field defaults are the
+    CLI's, each choice's the first value of its tuple."""
 
     input_path: str | None = None
-    input_format: str = "auto"
-    difficulty_orientation: str = "one-minus-mean"
-    diversity_variant: str = "nth-root"
-    pca_imputation: str = "complete-rows-only"
+    input_format: str = ingest.INPUT_FORMATS[0]
+    difficulty_orientation: str = DIFFICULTY_ORIENTATIONS[0]
+    diversity_variant: str = DIVERSITY_VARIANTS[0]
+    pca_imputation: str = IMPUTATION_MODES[0]
     output_dir: str = "./aps-out"
 
 
@@ -116,8 +117,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"{RunConfig.output_dir}, or $APS_OUTPUT_DIR)")
     for key in ("difficulty_orientation", "diversity_variant",
                 "pca_imputation"):
+        what, allowed = _CHOICES[key]
         g.add_argument("--" + key.replace("_", "-"),
-                       default=argparse.SUPPRESS, choices=_CHOICES[key][1])
+                       default=argparse.SUPPRESS, choices=allowed,
+                       help=f"{what} (default {allowed[0]})")
     g.add_argument("--config", default=argparse.SUPPRESS,
                    help="file of key = value lines mirroring these options")
 
@@ -141,11 +144,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     "writes selections.csv", _check_select)
     p_sel.add_argument("--size", required=True,
                        help="subset size or range, e.g. 3 or 2..4")
-    p_sel.add_argument("--mode", choices=SEARCH_MODES, default="max")
+    p_sel.add_argument("--mode", choices=SEARCH_MODES,
+                       default=SEARCH_MODES[0],
+                       help=f"rank high or low scores first "
+                            f"(default {SEARCH_MODES[0]})")
     p_sel.add_argument("--top", type=int, default=1,
                        help="how many ranked selections to keep per size")
-    p_sel.add_argument("--strategy", choices=("exhaustive", "greedy"),
-                       default="exhaustive")
+    strategies = ("exhaustive", "greedy")
+    p_sel.add_argument("--strategy", choices=strategies,
+                       default=strategies[0],
+                       help=f"exact or incremental search "
+                            f"(default {strategies[0]})")
     command(sub, "pca", _cmd_pca,
             "project datasets onto principal components; writes pca.csv",
             _check_pca).add_argument("--components", type=int, default=2)
@@ -167,7 +176,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_config_file(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops the BOM that Windows Notepad writes
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise _UserError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}

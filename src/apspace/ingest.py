@@ -29,6 +29,7 @@ from .core import (ApsError, EmptyRowError, Grid, PerformanceMatrix, Score,
                    _check_label, build_matrix)
 
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
+# the first value is the default
 INPUT_FORMATS = ("auto", "long", "wide")
 _LONG_HEADER = ["dataset", "algorithm", "score"]
 
@@ -161,7 +162,7 @@ def _reader(text: str) -> tuple[Iterator[tuple[int, list[str]]],
     return rows, header and [cell.strip() for cell in header]
 
 
-def parse_csv(text: str, fmt: str = "auto") -> PerformanceMatrix:
+def parse_csv(text: str, fmt: str = INPUT_FORMATS[0]) -> PerformanceMatrix:
     """Parse either shape; ``fmt="auto"`` reads the header as CSV and
     picks long when it is ``dataset,algorithm,score``, else wide."""
     if fmt == "auto":
@@ -312,7 +313,7 @@ def validate(matrix: PerformanceMatrix) -> ValidationReport:
     )
 
 
-def fixture_path(name: str = "thesis_results.csv") -> Path:
+def fixture_path(name: str) -> Path:
     """Absolute path of a bundled fixture CSV."""
     return _FIXTURE_DIR / name
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import ApsError, PerformanceMatrix, Score, left_sum
 
+# the first value of each is the default
 DIFFICULTY_ORIENTATIONS = ("one-minus-mean", "raw-mean")
 DIVERSITY_VARIANTS = ("nth-root", "literal-sqrt")
 
@@ -34,7 +35,8 @@ class DimensionMismatchError(ApsError):
     """Points do not share one dimensionality of at least two axes."""
 
 
-def difficulty(row: Sequence[Score], orientation: str = "one-minus-mean") -> float:
+def difficulty(row: Sequence[Score],
+               orientation: str = DIFFICULTY_ORIENTATIONS[0]) -> float:
     """How hard a dataset is: one minus the mean of its present scores.
 
     Higher means harder (all algorithms scored low).  ``orientation=
@@ -122,7 +124,8 @@ def _evaluate(vecs: Sequence[Sequence[float]], n_axes: int, variant: str):
     return dists, mu, var_d, ranges, vol, score
 
 
-def diversity(rows: Sequence[Sequence[float]], variant: str = "nth-root",
+def diversity(rows: Sequence[Sequence[float]],
+              variant: str = DIVERSITY_VARIANTS[0],
               datasets: Sequence[str] | None = None) -> DiversityBreakdown:
     """Score how evenly a set of complete rows spans the space.
 
@@ -194,7 +197,8 @@ def _gap_as_zero(x: np.ndarray) -> np.ndarray:
 
 
 def metric_table(matrix: PerformanceMatrix,
-                 orientation: str = "one-minus-mean") -> MetricReport:
+                 orientation: str = DIFFICULTY_ORIENTATIONS[0]
+                 ) -> MetricReport:
     """Difficulty and Variance for every dataset, in matrix row order.
 
     Every row is summarised at once from ``matrix.values``.  Each row's

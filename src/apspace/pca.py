@@ -14,7 +14,10 @@ import numpy as np
 from .core import (ApsError, LengthMismatchError, PerformanceMatrix,
                    left_sum)
 
+# the first value is the default
 IMPUTATION_MODES = ("complete-rows-only", "zero-fill", "mean-fill")
+# Jacobi sweeps before eigh_symmetric gives up
+_MAX_SWEEPS = 100
 
 
 class TooFewRowsError(ApsError):
@@ -50,7 +53,7 @@ def covariance(data) -> np.ndarray:
     return x.T @ x / (x.shape[0] - 1)
 
 
-def eigh_symmetric(a, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def eigh_symmetric(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps the strict upper triangle in row-major order, rotating each
@@ -59,7 +62,8 @@ def eigh_symmetric(a, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
     descending order (stable sort, so equal values keep their sweep
     order) and the matching eigenvectors as columns.  Each vector is
     sign-fixed so its largest-magnitude entry (lowest index on ties) is
-    positive, making the output fully deterministic.
+    positive, making the output fully deterministic.  Raises
+    :class:`NoConvergenceError` after ``_MAX_SWEEPS`` sweeps.
     """
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -85,9 +89,9 @@ def eigh_symmetric(a, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
         off = math.sqrt(float((stripped * stripped).sum()))
         if off <= 1e-12 * fro:
             break
-        if sweeps >= max_sweeps:
+        if sweeps >= _MAX_SWEEPS:
             raise NoConvergenceError(
-                f"no convergence after {max_sweeps} Jacobi sweeps")
+                f"no convergence after {_MAX_SWEEPS} Jacobi sweeps")
         sweeps += 1
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -149,7 +153,7 @@ def _column_means(values: np.ndarray, gaps: np.ndarray) -> np.ndarray:
 
 
 def pca_project(matrix: PerformanceMatrix, k: int = 2,
-                imputation: str = "complete-rows-only") -> PcaProjection:
+                imputation: str = IMPUTATION_MODES[0]) -> PcaProjection:
     """Project datasets onto the top-k principal axes of their spread.
 
     Gap handling is explicit via ``imputation``:

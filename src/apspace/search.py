@@ -20,9 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from .core import ApsError, PerformanceMatrix
-from .metrics import (DimensionMismatchError, DiversityBreakdown, _check_variant,
-                      _evaluate, diversity)
+from .metrics import (DIVERSITY_VARIANTS, DimensionMismatchError,
+                      DiversityBreakdown, _check_variant, _evaluate,
+                      diversity)
 
+# the first value is the default
 SEARCH_MODES = ("max", "min")
 
 # Candidates per prefix block, at least one prefix: bounds the search's
@@ -72,7 +74,8 @@ class SearchResult:
 
 
 def score_selection(matrix: PerformanceMatrix, datasets: Sequence[str],
-                    variant: str = "nth-root") -> DiversityBreakdown:
+                    variant: str = DIVERSITY_VARIANTS[0]
+                    ) -> DiversityBreakdown:
     """Diversity of one named subset, with the full breakdown.
 
     Names are canonicalized (sorted) first, so any ordering of the same
@@ -406,9 +409,9 @@ def _greedy_count(n: int, size: int) -> int:
     return math.comb(n, 2) + sum(n - s for s in range(2, size))
 
 
-def exhaustive_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
-                      top_k: int = 1,
-                      variant: str = "nth-root") -> SearchResult:
+def exhaustive_search(matrix: PerformanceMatrix, size: int,
+                      mode: str = SEARCH_MODES[0], top_k: int = 1,
+                      variant: str = DIVERSITY_VARIANTS[0]) -> SearchResult:
     """The top k size-subsets of the complete rows, exactly.
 
     ``mode="max"`` ranks high scores first, ``"min"`` low scores first;
@@ -418,9 +421,11 @@ def exhaustive_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
     every subset that the bound of :func:`_bounded_blocks`, box coverage
     times a cap on the factor from a prefix's distance variance, rules
     out.  Other sizes are scored in full: pairs in the row strips
-    of :func:`_prefix_blocks`, which cost less than the walk, and larger
-    subsets because their prefix tree holds more nodes than there are
-    candidates.  ``candidates_evaluated`` is C(n, k) either way.
+    of :func:`_prefix_blocks`, which cost less than the walk, and sizes
+    above half the rows.  There the walk measured faster up to about
+    two thirds of the rows, and slower near n, where its prefix tree
+    holds more nodes than there are candidates.
+    ``candidates_evaluated`` is C(n, k) either way.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
@@ -442,8 +447,9 @@ def exhaustive_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
                         top=top)
 
 
-def greedy_search(matrix: PerformanceMatrix, size: int, mode: str = "max",
-                  variant: str = "nth-root",
+def greedy_search(matrix: PerformanceMatrix, size: int,
+                  mode: str = SEARCH_MODES[0],
+                  variant: str = DIVERSITY_VARIANTS[0],
                   extend: SearchResult | None = None) -> SearchResult:
     """Build one subset incrementally: best pair, then best addition.
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import os
 import re
 import shutil
@@ -14,10 +15,13 @@ import pytest
 import apspace
 from conftest import make_matrix, random_matrix
 from apspace.cli import RunConfig, _build_parser, _write_atomic, run
-from apspace.ingest import (fixture_path, load_thesis_matrix, write_long,
-                            write_wide)
-from apspace.metrics import metric_table
-from apspace.pca import pca_project
+from apspace.ingest import (INPUT_FORMATS, fixture_path, load_thesis_matrix,
+                            parse_csv, write_long, write_wide)
+from apspace.metrics import (DIFFICULTY_ORIENTATIONS, DIVERSITY_VARIANTS,
+                             difficulty, diversity, metric_table)
+from apspace.pca import IMPUTATION_MODES, pca_project
+from apspace.search import (SEARCH_MODES, exhaustive_search, greedy_search,
+                            score_selection)
 from apspace.viz import PlotSpec, pca_scatter_svg
 
 FIXTURE = str(fixture_path("thesis_scores.csv"))
@@ -578,6 +582,16 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_config_file_with_a_bom_applies_its_key(tmp_path, capsys):
+    """Windows Notepad starts a UTF-8 file with a byte order mark."""
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_text("\ufeffdiversity_variant = literal-sqrt\n",
+                   encoding="utf-8")
+    assert run(["validate", "--config", str(cfg), "-i", FIXTURE]) == 0
+    assert "config: diversity_variant = literal-sqrt\n" in (
+        capsys.readouterr().err)
+
+
 def test_config_file_missing_or_without_equals(tmp_path, capsys):
     missing = tmp_path / "missing.cfg"
     assert run(["validate", "--config", str(missing), "-i", FIXTURE]) == 1
@@ -630,7 +644,8 @@ def test_cli_import_leaves_out_the_network_stack():
              "'ssl', 'xml.sax') if m in sys.modules)); "
              "print(apspace.cli._build_parser.cache_info().currsize)")
     result = subprocess.run([sys.executable, "-c", probe],
-                            capture_output=True, text=True, timeout=120,
+                            capture_output=True, text=True, encoding="utf-8",
+                            timeout=120,
                             env={**os.environ, "PYTHONPATH": source_root})
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n0\n"
@@ -695,15 +710,59 @@ def test_console_script_entry_point(tmp_path):
     missing = str(tmp_path / "missing.csv")
     for command in commands:
         result = subprocess.run([*command, "validate", "-i", FIXTURE],
-                                capture_output=True, text=True, env=env,
-                                cwd=tmp_path, timeout=120)
+                                capture_output=True, text=True,
+                                encoding="utf-8", env=env, cwd=tmp_path,
+                                timeout=120)
         assert result.returncode == 0, (command, result.stderr)
         assert "datasets: 71" in result.stdout, (command, result.stderr)
         # run()'s exit code reaches the shell: 2 is unusable input
         result = subprocess.run([*command, "validate", "-i", missing],
-                                capture_output=True, text=True, env=env,
-                                cwd=tmp_path, timeout=120)
+                                capture_output=True, text=True,
+                                encoding="utf-8", env=env, cwd=tmp_path,
+                                timeout=120)
         assert result.returncode == 2, (command, result.stderr)
+
+
+def test_each_choice_default_is_the_first_value_of_its_tuple(monkeypatch,
+                                                            capsys):
+    """The library signatures, RunConfig, the parsed --mode and the help
+    of each choice flag agree on every default."""
+    for func, name, values in (
+            (parse_csv, "fmt", INPUT_FORMATS),
+            (difficulty, "orientation", DIFFICULTY_ORIENTATIONS),
+            (metric_table, "orientation", DIFFICULTY_ORIENTATIONS),
+            (diversity, "variant", DIVERSITY_VARIANTS),
+            (score_selection, "variant", DIVERSITY_VARIANTS),
+            (exhaustive_search, "mode", SEARCH_MODES),
+            (exhaustive_search, "variant", DIVERSITY_VARIANTS),
+            (greedy_search, "mode", SEARCH_MODES),
+            (greedy_search, "variant", DIVERSITY_VARIANTS),
+            (pca_project, "imputation", IMPUTATION_MODES)):
+        default = inspect.signature(func).parameters[name].default
+        assert default == values[0], (func.__name__, name)
+    defaults = {"input_format": INPUT_FORMATS[0],
+                "difficulty_orientation": DIFFICULTY_ORIENTATIONS[0],
+                "diversity_variant": DIVERSITY_VARIANTS[0],
+                "pca_imputation": IMPUTATION_MODES[0]}
+    config = RunConfig()
+    assert {key: getattr(config, key) for key in defaults} == defaults
+    ns = _build_parser().parse_args(["select", "--size", "2"])
+    assert ns.mode == SEARCH_MODES[0]
+    # wide enough that no help text wraps inside a value
+    monkeypatch.setenv("COLUMNS", "200")
+    assert run(["select", "--help"]) == 0
+    entries = {entry.split()[0]: entry for entry in
+               re.split(r"\n(?=  -)", capsys.readouterr().out)}
+    flags = {"--format": INPUT_FORMATS[0],
+             "--difficulty-orientation": DIFFICULTY_ORIENTATIONS[0],
+             "--diversity-variant": DIVERSITY_VARIANTS[0],
+             "--pca-imputation": IMPUTATION_MODES[0],
+             "--mode": SEARCH_MODES[0],
+             "--strategy": "exhaustive"}
+    assert {flag for flag, entry in entries.items()
+            if re.match(r"  --[\w-]+ \{", entry)} == flags.keys()
+    for flag, default in flags.items():
+        assert f"(default {default})" in entries[flag], entries[flag]
 
 
 def test_help_exits_zero(capsys):

@@ -386,5 +386,5 @@ def test_fixture_metadata():
 
 
 def test_fixture_path_exists():
-    assert fixture_path().is_file()
+    assert fixture_path("thesis_results.csv").is_file()
     assert fixture_path("thesis_datasets.csv").is_file()

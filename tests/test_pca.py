@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_matrix, random_matrix
+from apspace import pca
 from apspace.core import LengthMismatchError
 from apspace.metrics import metric_table
 from apspace.pca import (BadComponentCountError, ConstantInputError,
@@ -113,12 +114,15 @@ def test_eigh_rejects_asymmetry_and_shape():
         eigh_symmetric(np.zeros((2, 3)))
 
 
-def test_eigh_sweep_cap(rng):
+def test_eigh_sweep_cap(rng, monkeypatch):
     a = random_symmetric(rng, 8)
-    with pytest.raises(NoConvergenceError):
-        eigh_symmetric(a, max_sweeps=1)
+    monkeypatch.setattr(pca, "_MAX_SWEEPS", 1)
+    with pytest.raises(NoConvergenceError,
+                       match="^no convergence after 1 Jacobi sweeps$"):
+        eigh_symmetric(a)
     # an already-diagonal input needs no sweeps at all
-    vals, _ = eigh_symmetric(np.diag([2.0, 1.0]), max_sweeps=0)
+    monkeypatch.setattr(pca, "_MAX_SWEEPS", 0)
+    vals, _ = eigh_symmetric(np.diag([2.0, 1.0]))
     np.testing.assert_allclose(vals, [2.0, 1.0])
 
 
@@ -199,9 +203,9 @@ def symmetric_matrices(draw):
     return a + np.triu(a, 1).T
 
 
-def _outcome(solver, a, max_sweeps):
+def _outcome(solve):
     try:
-        return solver(a, max_sweeps=max_sweeps)
+        return solve()
     except NoConvergenceError as exc:
         return str(exc)
 
@@ -214,8 +218,10 @@ def test_eigh_matches_slice_reference(a):
     assert np.array_equal(vals, want_vals)
     assert np.array_equal(vecs, want_vecs)
     # one sweep is too few for most inputs: both must fail, or agree
-    got = _outcome(eigh_symmetric, a, 1)
-    want = _outcome(_reference_eigh, a, 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pca, "_MAX_SWEEPS", 1)
+        got = _outcome(lambda: eigh_symmetric(a))
+    want = _outcome(lambda: _reference_eigh(a, max_sweeps=1))
     if isinstance(want, str):
         assert got == want == "no convergence after 1 Jacobi sweeps"
     else:

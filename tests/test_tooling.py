@@ -37,7 +37,8 @@ def test_failing_property_prints_its_example(tmp_path):
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "-c", str(PYPROJECT), "--rootdir", str(tmp_path), "test_probes.py"],
-        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        cwd=tmp_path, capture_output=True, text=True, encoding="utf-8",
+        timeout=120)
     output = done.stdout + done.stderr
     assert done.returncode == 1, output
     assert "Falsifying example" in output
