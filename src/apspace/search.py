@@ -303,7 +303,32 @@ def _far_first(P):
                       kind="stable")
 
 
-def _top(P, variant, sign, blocks, top_k, order=None, full=None):
+def _seed_cut(Q, variant, sign, full, size, top_k):
+    """A cut-off key that ``top_k`` size-subsets of the rows of ``Q``
+    already reach, for the walk of :func:`_bounded_blocks` to start
+    from; ``full`` is the distance matrix of ``Q`` (see
+    :func:`_distances`).  A greedy chain starts at ``Q[0]``, the row
+    farthest from the centroid, and adds the row of the best key until
+    it holds ``size - 1`` rows; the seed is the ``top_k``-th smallest
+    key of its ``n - size + 1`` extensions, or ``math.inf`` if there
+    are fewer.  Each step is one :func:`_block_keyer` call, so the seed
+    is a block key of real candidates, within about 1e-15 of their
+    exact keys and far inside ``_TIE_TOL``."""
+    n = len(Q)
+    if n - size + 1 < top_k:
+        return math.inf
+    keys_of = _block_keyer(Q, Q.shape[1], variant, sign, full)
+    chain = [0]
+    while True:
+        keys = keys_of(np.array([chain]), 0)[0]
+        keys[chain] = math.inf
+        if len(chain) == size - 1:
+            return float(np.partition(keys, top_k - 1)[top_k - 1])
+        chain.append(int(np.argmin(keys)))
+
+
+def _top(P, variant, sign, blocks, top_k, order=None, full=None,
+         cut=math.inf):
     """The ``top_k`` smallest ``((sign * score, idx), score)`` over every
     candidate of ``blocks``, as :func:`_prefix_blocks` gives them, where
     ``P`` holds the points of the sorted names and ``idx`` is a
@@ -311,17 +336,19 @@ def _top(P, variant, sign, blocks, top_k, order=None, full=None):
     exactly as the name tuples they stand for.  With ``order``, blocks
     index the rows of ``P[order]``, and each candidate is mapped back to
     ranks in the sorted names.  ``blocks`` may also be a function of
-    ``cut()``, the running cut-off key (``math.inf`` until ``top_k`` are
-    kept), that returns the blocks.  ``full``, if given, is the distance
-    matrix of the rows the blocks index (see :func:`_block_keyer`).
+    ``cut()``, the running cut-off key, that returns the blocks.  That
+    key is the lower of ``cut``, a key that ``top_k`` candidates are
+    known to reach (see :func:`_seed_cut`), and the worst exact key kept
+    once ``top_k`` are.  ``full``, if given, is the distance matrix of
+    the rows the blocks index (see :func:`_block_keyer`).
 
     :func:`_block_keyer` sums in another order than the scalar code, so
     its keys can differ from the scalar ones in the last bits.  A
     candidate whose key lies more than ``_TIE_TOL`` above a cut-off (the
-    ``top_k``-th key of its block, or the worst exact key kept so far)
-    is beaten outright by ``top_k`` others.  The worst kept key cuts
-    first; only when more than ``top_k`` keys of a block pass it are
-    those partitioned, and their ``top_k``-th is the block's.  Every
+    ``top_k``-th key of its block, or the running cut-off) is beaten
+    outright by ``top_k`` others.  The running cut-off cuts first; only
+    when more than ``top_k`` keys of a block pass it are those
+    partitioned, and their ``top_k``-th is the block's.  Every
     other candidate is re-scored by ``metrics._evaluate`` on its own
     points and merged in ``(sign * score, names)`` order, so scores,
     ties and near-ties come out exactly as the scalar search gives them.
@@ -336,7 +363,7 @@ def _top(P, variant, sign, blocks, top_k, order=None, full=None):
     best = []
 
     def worst():
-        return best[-1][0][0] if len(best) == top_k else math.inf
+        return min(best[-1][0][0], cut) if len(best) == top_k else cut
 
     if callable(blocks):
         blocks = blocks(worst)
@@ -420,25 +447,30 @@ def exhaustive_search(matrix: PerformanceMatrix, size: int,
     rows, enumerates the rows farthest from the centroid first and skips
     every subset that the bound of :func:`_bounded_blocks`, box coverage
     times a cap on the factor from a prefix's distance variance, rules
-    out.  Other sizes are scored in full: pairs in the row strips
-    of :func:`_prefix_blocks`, which cost less than the walk, and sizes
-    above half the rows.  There the walk measured faster up to about
-    two thirds of the rows, and slower near n, where its prefix tree
-    holds more nodes than there are candidates.
+    out; the walk starts from the cut-off of :func:`_seed_cut`, which
+    ``top_k`` subsets of a greedy chain already reach.  Other sizes are
+    scored in full: pairs in the row strips of :func:`_prefix_blocks`,
+    which cost less than the walk, and sizes above half the rows.  There
+    the walk measured faster up to about two thirds of the rows, and
+    slower near n, where its prefix tree holds more nodes than there are
+    candidates.
     ``candidates_evaluated`` is C(n, k) either way.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     names, points, sign = _prepare(matrix, size, mode, variant)
-    order = None
+    order, cut = None, math.inf
     if mode == "max" and 2 < size <= len(names) // 2:
         order = _far_first(points)
     Q = points if order is None else points[order]
     # one distance matrix, read by the walk and the block keyer
     full = _distances(Q, Q.T) if size > 2 else None
-    blocks = (_prefix_blocks(len(names), size) if order is None
-              else partial(_bounded_blocks, Q, size, variant, full))
-    best = _top(points, variant, sign, blocks, top_k, order, full)
+    if order is None:
+        blocks = _prefix_blocks(len(names), size)
+    else:
+        blocks = partial(_bounded_blocks, Q, size, variant, full)
+        cut = _seed_cut(Q, variant, sign, full, size, top_k)
+    best = _top(points, variant, sign, blocks, top_k, order, full, cut)
     top = tuple(Selection(datasets=tuple(names[i] for i in idx), score=score,
                           rank=rank)
                 for rank, ((_, idx), score) in enumerate(best, 1))

@@ -326,6 +326,53 @@ def test_bounded_search_matches_unpruned_scan_on_corpus(fixture_matrix):
             _unpruned(fixture_matrix, size, "max", "nth-root", 3)
 
 
+def _assert_seed_is_safe(matrix, size, top_k, variant):
+    """The seed of :func:`search._seed_cut`, on the walk's own rows and
+    distances, is ``math.inf`` when the chain has fewer than ``top_k``
+    extensions and otherwise never below the exact ``top_k``-th key
+    (the unpruned scan's ``top_k``-th score, re-scored by the scalar
+    formula), up to block-key rounding far inside ``_TIE_TOL``; and the
+    seeded search equals the unpruned scan."""
+    names = _complete_names(matrix)
+    P = matrix.values[[matrix.dataset_index(d) for d in names]]
+    Q = P[search._far_first(P)]
+    seed = search._seed_cut(Q, variant, -1.0, search._distances(Q, Q.T),
+                            size, top_k)
+    want = _unpruned(matrix, size, "max", variant, top_k)
+    if len(names) - size + 1 < top_k:
+        assert seed == math.inf
+    else:
+        assert seed >= -want[top_k - 1][1] - 1e-12
+    res = exhaustive_search(matrix, size, "max", top_k=top_k,
+                            variant=variant)
+    assert [(s.datasets, s.score, s.rank) for s in res.top] == want
+
+
+@settings(deadline=None)
+@given(matrix=tied_matrices(drawn=(6, 9), copies=(0, 3)), data=st.data(),
+       variant=st.sampled_from(["nth-root", "literal-sqrt"]))
+def test_seeded_cut_never_prunes_the_top(matrix, data, variant):
+    """On 6-12 rows with exact ties, at every walked size 3..n//2 and
+    top_k 1..5, the seed cuts no true top-k candidate."""
+    size = data.draw(st.integers(3, len(matrix.datasets) // 2))
+    _assert_seed_is_safe(matrix, size, data.draw(st.integers(1, 5)), variant)
+
+
+_SIX = {f"d{i}": [i / 10, (i * i % 7) / 10] for i in range(6)}
+_IDENTICAL = {f"d{i:02d}": [0.25, 0.75] for i in range(40)}
+
+
+@pytest.mark.parametrize("variant", ["nth-root", "literal-sqrt"])
+@pytest.mark.parametrize("rows, size, top_k",
+                         [(_SIX, 3, 5), (_IDENTICAL, 3, 5),
+                          (_IDENTICAL, 4, 3)],
+                         ids=["six-no-seed", "identical-k3", "identical-k4"])
+def test_seeded_cut_edge_cases(variant, rows, size, top_k):
+    """Six rows at size 3 leave the chain 4 extensions, fewer than top-5,
+    so there is no seed; on 40 identical rows every key ties the seed."""
+    _assert_seed_is_safe(make_matrix(rows), size, top_k, variant)
+
+
 _points = st.one_of(st.floats(0, 1), st.integers(0, 10).map(lambda v: v / 10))
 
 
@@ -361,13 +408,19 @@ def _count_block_scored():
 
 
 def test_bounded_search_scores_a_fraction_of_the_corpus(fixture_matrix):
-    """At k=4 the bound leaves under a quarter of the 82,251 quadruples
-    to the block keyer; min mode has no bound and scores all of them.
-    From k=5 on, the distance variance of a prefix of three or more rows
-    caps the factor too: the box alone leaves 56,867 keys at k=5 and
-    455,710 at k=6, the two bounds together under 15,000 and 40,000."""
+    """At k=3 the seeded cut-off leaves under 800 of the 9,139 triples'
+    keys to the block keyer (the seed's own keys included), where an
+    unseeded walk keys 1,197 while its first block sets the cut-off.
+    At k=4 the bound leaves under a quarter of the 82,251 quadruples;
+    min mode has no bound and scores all of them.  From k=5 on, the
+    distance variance of a prefix of three or more rows caps the factor
+    too: the box alone leaves 56,867 keys at k=5 and 455,710 at k=6, the
+    two bounds together under 15,000 and 40,000."""
     patch, scored = _count_block_scored()
     with patch:
+        exhaustive_search(fixture_matrix, 3, "max", top_k=3)
+        assert 0 < scored[0] <= 800
+        scored[0] = 0
         exhaustive_search(fixture_matrix, 4, "max", top_k=3)
         assert 0 < scored[0] <= 82251 / 4
         scored[0] = 0
@@ -392,13 +445,15 @@ def test_exhaustive_search_builds_one_distance_matrix(fixture_matrix, mode,
     assert [len(call.args[0]) for call in distances.call_args_list] == [39]
 
 
-@pytest.mark.parametrize("mode, rescored", [("max", [3, 3, 3, 6]),
+@pytest.mark.parametrize("mode, rescored", [("max", [3, 3, 3, 3]),
                                              ("min", [0, 4, 11, 14])])
 def test_tie_band_rescores_on_corpus(fixture_matrix, mode, rescored):
     """How many candidates ``_top`` re-scores with the scalar formula on
     the corpus, top-3, k=2..5: the band within ``_TIE_TOL`` of the
     cut-off, less the flat boxes that score 0.0 unscored.  Each block's
-    selection must neither widen nor narrow that band."""
+    selection must neither widen nor narrow that band.  Max mode's walk
+    starts from the seeded cut-off of :func:`search._seed_cut`, so no
+    first block re-scores a band that the final cut-off excludes."""
     counts = []
     for size in range(2, 6):
         with mock.patch.object(search, "_evaluate",
