@@ -115,14 +115,9 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--output-dir", "-o", default=argparse.SUPPRESS,
                    help=f"where output files go (default "
                         f"{RunConfig.output_dir}, or $APS_OUTPUT_DIR)")
-    for key in ("difficulty_orientation", "diversity_variant",
-                "pca_imputation"):
-        what, allowed = _CHOICES[key]
-        g.add_argument("--" + key.replace("_", "-"),
-                       default=argparse.SUPPRESS, choices=allowed,
-                       help=f"{what} (default {allowed[0]})")
     g.add_argument("--config", default=argparse.SUPPRESS,
-                   help="file of key = value lines mirroring these options")
+                   help="file of key = value lines; it may set any of "
+                        + ", ".join(_CONFIG_KEYS))
 
     parser = _Parser(
         prog="aps", parents=[common],
@@ -130,18 +125,25 @@ def _build_parser() -> argparse.ArgumentParser:
                     "metrics, diverse-subset search, PCA, and SVG plots.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(parent, name, handler, summary, check=None):
+    def command(parent, name, handler, summary, check=None, reads=()):
         p = parent.add_parser(name, parents=[common], help=summary)
         p.set_defaults(handler=handler, check=check)
+        for key in reads:
+            what, allowed = _CHOICES[key]
+            p.add_argument("--" + key.replace("_", "-"),
+                           default=argparse.SUPPRESS, choices=allowed,
+                           help=f"{what} (default {allowed[0]})")
         return p
 
+    orient, variant, impute = tuple(_CHOICES)[1:]  # after input_format
     command(sub, "validate", _cmd_validate,
             "print shape counts and warnings for the input")
     command(sub, "metrics", _cmd_metrics,
-            "write per-dataset difficulty/variance to metrics.csv")
+            "write per-dataset difficulty/variance to metrics.csv",
+            reads=[orient])
     p_sel = command(sub, "select", _cmd_select,
                     "search dataset subsets by diversity; "
-                    "writes selections.csv", _check_select)
+                    "writes selections.csv", _check_select, reads=[variant])
     p_sel.add_argument("--size", required=True,
                        help="subset size or range, e.g. 3 or 2..4")
     p_sel.add_argument("--mode", choices=SEARCH_MODES,
@@ -157,7 +159,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             f"(default {strategies[0]})")
     command(sub, "pca", _cmd_pca,
             "project datasets onto principal components; writes pca.csv",
-            _check_pca).add_argument("--components", type=int, default=2)
+            _check_pca, reads=[impute]
+            ).add_argument("--components", type=int, default=2)
     plot = sub.add_parser("plot", parents=[common],
                           help="write SVG scatter plots"
                           ).add_subparsers(dest="kind", required=True)
@@ -166,11 +169,13 @@ def _build_parser() -> argparse.ArgumentParser:
             ).add_argument("--ordered", action="store_true",
                            help="render both orientations of each pair")
     command(plot, "pca", _cmd_plot_pca,
-            "scatter of the first two components"
+            "scatter of the first two components", _check_plot_pca,
+            reads=[orient, impute]
             ).add_argument("--color-by", choices=("difficulty", "variance"),
                            default=None, help="gradient-color the points")
     command(sub, "report", _cmd_report,
-            "write a Markdown summary to report.md")
+            "write a Markdown summary to report.md",
+            reads=[orient, variant, impute])
     return parser
 
 
@@ -178,7 +183,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
     try:
         # utf-8-sig drops the BOM that Windows Notepad writes
         text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UserError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
     for num, raw in enumerate(text.splitlines(), 1):
@@ -214,11 +219,6 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
     return RunConfig(**merged)
 
 
-def _print_config(cfg: RunConfig) -> None:
-    for f in dataclass_fields(RunConfig):
-        print(f"config: {f.name} = {getattr(cfg, f.name)}", file=sys.stderr)
-
-
 def _load_matrix(cfg: RunConfig) -> PerformanceMatrix:
     if not cfg.input_path:
         raise _UserError("no input file; pass --input or set input_path "
@@ -227,7 +227,7 @@ def _load_matrix(cfg: RunConfig) -> PerformanceMatrix:
         # newline="": a \r inside a quoted label is data, not a line end
         with open(cfg.input_path, encoding="utf-8", newline="") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ApsError(f"cannot read input {cfg.input_path}: {exc}") from None
     return ingest.parse_csv(text, cfg.input_format)
 
@@ -351,6 +351,12 @@ def _cmd_plot_mini(matrix: PerformanceMatrix, cfg: RunConfig,
     return 0
 
 
+def _check_plot_pca(ns: argparse.Namespace) -> None:
+    if "difficulty_orientation" in vars(ns) and ns.color_by != "difficulty":
+        raise _UserError("--difficulty-orientation needs --color-by "
+                         "difficulty; no other plot reads an orientation")
+
+
 def _cmd_plot_pca(matrix: PerformanceMatrix, cfg: RunConfig,
                   ns: argparse.Namespace) -> int:
     projection = pca_project(matrix, k=2, imputation=cfg.pca_imputation)
@@ -431,28 +437,22 @@ def run(argv: Sequence[str] | None = None) -> int:
 
     May be called any number of times in one process: the parser is
     built on the first call and reused after that."""
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles --help/usage printing
         return 0 if (exc.code or 0) == 0 else 1
     try:
         cfg = _resolve_config(ns)
-    except _UserError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _print_config(cfg)
-    try:
+        for f in dataclass_fields(RunConfig):
+            print(f"config: {f.name} = {getattr(cfg, f.name)}",
+                  file=sys.stderr)
         if ns.check:  # flag checks come before the input is read
             ns.check(ns)
         matrix = _load_matrix(cfg)
         return ns.handler(matrix, cfg, ns)
-    except _UserError as exc:
+    except (_UserError, ApsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ApsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, _UserError) else 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3

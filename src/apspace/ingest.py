@@ -287,7 +287,7 @@ def validate(matrix: PerformanceMatrix) -> ValidationReport:
 
     Warnings (not errors): a dataset with a single present score has no
     defined variance; an incomplete dataset is excluded from subset
-    search by default.
+    search.
     """
     counts = matrix.n_algorithms - np.isnan(matrix.values).sum(axis=1)
     present = int(counts.sum())
@@ -302,7 +302,7 @@ def validate(matrix: PerformanceMatrix) -> ValidationReport:
         if not complete:
             warnings.append(
                 f"dataset {dataset!r} is incomplete; "
-                "excluded from subset search by default")
+                "excluded from subset search")
     return ValidationReport(
         dataset_count=matrix.n_datasets,
         algorithm_count=matrix.n_algorithms,

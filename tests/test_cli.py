@@ -143,7 +143,9 @@ def test_select_greedy_range_equals_single_sizes(tmp_path, mode):
     (["plot", "pca", "--ordered"], "usage: aps plot pca "),
     (["select", "--size", "2..3", "--strategy", "greedy", "--top", "3"],
      "config: "),
-], ids=["mini-color-by", "pca-ordered", "greedy-top"])
+    (["plot", "pca", "--color-by", "variance",
+      "--difficulty-orientation", "raw-mean"], "config: "),
+], ids=["mini-color-by", "pca-ordered", "greedy-top", "pca-orientation"])
 def test_flag_the_command_cannot_honour_is_a_usage_error(tmp_path, capsys,
                                                          argv, first_line):
     out = tmp_path / "out"
@@ -160,7 +162,11 @@ def test_flag_the_command_cannot_honour_is_a_usage_error(tmp_path, capsys,
     (["select", "--size", "2", "--strategy", "greedy", "--top", "2"],
      "--top 2 needs --strategy exhaustive; greedy builds one subset per size"),
     (["pca", "--components", "0"], "--components must be >= 1, got 0"),
-], ids=["size-text", "size-range", "top", "greedy-top", "components"])
+    (["plot", "pca", "--difficulty-orientation", "raw-mean"],
+     "--difficulty-orientation needs --color-by difficulty; "
+     "no other plot reads an orientation"),
+], ids=["size-text", "size-range", "top", "greedy-top", "components",
+        "pca-orientation"])
 def test_flag_errors_come_before_reading_input(tmp_path, capsys, argv,
                                                message):
     missing = tmp_path / "missing.csv"
@@ -319,9 +325,12 @@ def test_plot_pca_with_coloring(outdir):
 
 
 @pytest.mark.parametrize("color_by", ["difficulty", "variance"])
-def test_plot_pca_colors_match_metric_table(outdir, color_by):
+def test_plot_pca_colors_match_metric_table(tmp_path, outdir, color_by):
     """Each point takes its metric_table value under the configured
     orientation, from one table built for the whole plot."""
+    # the flag needs --color-by difficulty; a config file may set it always
+    cfg = tmp_path / "raw.cfg"
+    cfg.write_text("difficulty_orientation = raw-mean\n", encoding="utf-8")
     matrix = load_thesis_matrix()
     table = metric_table(matrix, "raw-mean")
     projection = pca_project(matrix, k=2, imputation="zero-fill")
@@ -331,8 +340,7 @@ def test_plot_pca_colors_match_metric_table(outdir, color_by):
         PlotSpec(color_by=color_by))
     with mock.patch("apspace.cli.metric_table", wraps=metric_table) as spy:
         assert run(["plot", "pca", "--color-by", color_by,
-                    "--difficulty-orientation", "raw-mean",
-                    "--pca-imputation", "zero-fill",
+                    "--config", str(cfg), "--pca-imputation", "zero-fill",
                     "-i", FIXTURE, "-o", str(outdir)]) == 0
     spy.assert_called_once()
     assert read(outdir / "pca_scatter.svg") == want
@@ -499,8 +507,13 @@ def test_write_accepts_the_longest_file_name(tmp_path):
 ])
 def test_bad_choice_fails_as_flag_and_in_config(tmp_path, capsys, key, flag,
                                                 message):
-    assert run(["validate", "-i", FIXTURE, flag, "bogus"]) == 1
+    """A flag is checked by a command that reads it; a config value is
+    checked by every command, since one file serves them all."""
+    reader = {"input_format": "validate", "difficulty_orientation": "metrics",
+              "diversity_variant": "select", "pca_imputation": "pca"}[key]
+    assert run([reader, "-i", FIXTURE, flag, "bogus"]) == 1
     err = capsys.readouterr().err
+    assert err.startswith(f"usage: aps {reader} ")
     assert f"argument {flag}: invalid choice: 'bogus'" in err
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{key} = bogus\n", encoding="utf-8")
@@ -602,6 +615,107 @@ def test_config_file_missing_or_without_equals(tmp_path, capsys):
     assert run(["validate", "--config", str(cfg), "-i", FIXTURE]) == 1
     assert capsys.readouterr().err == (
         f"error: {cfg}:3: expected 'key = value'\n")
+
+
+# The analysis options each parser takes, by its argv: exactly those its
+# handler reads.  A config file may still set any of them.
+ANALYSIS_FLAGS = ("--difficulty-orientation", "--diversity-variant",
+                  "--pca-imputation")
+ANALYSIS_OPTIONS = {
+    (): (),
+    ("plot",): (),
+    ("validate",): (),
+    ("metrics",): ("--difficulty-orientation",),
+    ("select",): ("--diversity-variant",),
+    ("pca",): ("--pca-imputation",),
+    ("plot", "mini"): (),
+    ("plot", "pca"): ("--difficulty-orientation", "--pca-imputation"),
+    ("report",): ANALYSIS_FLAGS,
+}
+# what a command needs besides its input to run at all, or, for plot pca,
+# to read --difficulty-orientation
+RUNNABLE = {("select",): ["--size", "2"],
+            ("plot", "pca"): ["--color-by", "difficulty"]}
+# three complete rows over three axes and two gappy ones, so every
+# analysis option changes some output of each command that reads it
+GAPPY = ("dataset,a,b,c\nd1,0.1,0.5,0.9\nd2,0.7,0.2,0.4\nd3,0.3,0.8,0.6\n"
+         "d4,0.9,,0.2\nd5,,0.4,0.7\n")
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in ANALYSIS_OPTIONS
+    if command and command != ("plot",) for flag in ANALYSIS_FLAGS],
+    ids=lambda x: "-".join(x) if isinstance(x, tuple) else x)
+def test_each_analysis_flag_only_where_it_is_read(tmp_path, capsys, command,
+                                                  flag):
+    src = tmp_path / "gappy.csv"
+    src.write_text(GAPPY, encoding="utf-8")
+    argv = [*command, *RUNNABLE.get(command, []), "-i", str(src)]
+    values = {"--difficulty-orientation": DIFFICULTY_ORIENTATIONS,
+              "--diversity-variant": DIVERSITY_VARIANTS,
+              "--pca-imputation": IMPUTATION_MODES}[flag][:2]
+    if flag not in ANALYSIS_OPTIONS[command]:
+        out = tmp_path / "out"
+        assert run([*argv, flag, values[1], "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        name = " ".join(command)
+        assert err.startswith(f"usage: aps {name} ")
+        assert err.endswith(f"aps {name}: error: unrecognized arguments: "
+                            f"{flag} {values[1]}\n")
+        assert not out.exists()
+        return
+    written = []
+    for value in values:
+        out = tmp_path / value
+        assert run([*argv, flag, value, "-o", str(out)]) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[0].keys() == written[1].keys()
+    assert written[0] != written[1]  # the flag does something
+
+
+def test_common_flags_work_before_the_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("difficulty_orientation = raw-mean\n", encoding="utf-8")
+    common = ["-i", FIXTURE, "--format", "wide", "--config", str(cfg)]
+    before, after = tmp_path / "before", tmp_path / "after"
+    assert run([*common, "-o", str(before), "metrics"]) == 0
+    assert run(["metrics", *common, "-o", str(after)]) == 0
+    assert read(before / "metrics.csv") == read(after / "metrics.csv")
+    assert "Jester,0.4837,0.0193,5" in read(before / "metrics.csv")
+    # the plot group takes them before its kind too
+    assert run(["plot", "-i", FIXTURE, "-o", str(before), "pca"]) == 0
+    assert (before / "pca_scatter.svg").exists()
+    assert "config: input_format = wide\n" in capsys.readouterr().err
+
+
+def test_config_file_may_set_keys_the_command_does_not_read(tmp_path,
+                                                            capsys):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("difficulty_orientation = raw-mean\n"
+                   "diversity_variant = literal-sqrt\n"
+                   "pca_imputation = mean-fill\n", encoding="utf-8")
+    assert run(["validate", "-i", FIXTURE, "--config", str(cfg)]) == 0
+    assert "config: pca_imputation = mean-fill\n" in capsys.readouterr().err
+    # only the flag needs --color-by difficulty
+    out = tmp_path / "out"
+    assert run(["plot", "pca", "-i", FIXTURE, "--config", str(cfg),
+                "-o", str(out)]) == 0
+    assert (out / "pca_scatter.svg").exists()
+
+
+def test_undecodable_input_or_config_names_the_file(tmp_path, capsys):
+    """A file that is not UTF-8 is unusable input (exit 2) or a bad
+    config file (exit 1), not an internal error."""
+    src = tmp_path / "latin1.csv"
+    src.write_bytes(b"dataset,a\nd\xe9,0.5\n")
+    assert run(["validate", "-i", str(src)]) == 2
+    assert (f"error: cannot read input {src}: 'utf-8' codec can't decode"
+            in capsys.readouterr().err)
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"# r\xe9glages\n")
+    assert run(["validate", "-i", FIXTURE, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read config file {cfg}: 'utf-8' codec can't decode")
 
 
 def test_env_output_dir_and_override(tmp_path, monkeypatch):
@@ -750,9 +864,12 @@ def test_each_choice_default_is_the_first_value_of_its_tuple(monkeypatch,
     assert ns.mode == SEARCH_MODES[0]
     # wide enough that no help text wraps inside a value
     monkeypatch.setenv("COLUMNS", "200")
-    assert run(["select", "--help"]) == 0
-    entries = {entry.split()[0]: entry for entry in
-               re.split(r"\n(?=  -)", capsys.readouterr().out)}
+    entries = {}
+    # select and report take every choice flag between them
+    for command in ("select", "report"):
+        assert run([command, "--help"]) == 0
+        entries.update((entry.split()[0], entry) for entry in
+                       re.split(r"\n(?=  -)", capsys.readouterr().out))
     flags = {"--format": INPUT_FORMATS[0],
              "--difficulty-orientation": DIFFICULTY_ORIENTATIONS[0],
              "--diversity-variant": DIVERSITY_VARIANTS[0],
@@ -770,14 +887,15 @@ def test_help_exits_zero(capsys):
     out = capsys.readouterr().out
     assert re.findall(r"\[(-[^]]*)\]", out) == [
         "-h", "--input INPUT", "--format {auto,long,wide}",
-        "--output-dir OUTPUT_DIR",
-        "--difficulty-orientation {one-minus-mean,raw-mean}",
-        "--diversity-variant {nth-root,literal-sqrt}",
-        "--pca-imputation {complete-rows-only,zero-fill,mean-fill}",
-        "--config CONFIG"]
+        "--output-dir OUTPUT_DIR", "--config CONFIG"]
     assert "--input INPUT, -i INPUT" in out
     assert "--output-dir OUTPUT_DIR, -o OUTPUT_DIR" in out
-    assert run(["select", "--help"]) == 0
+    # every parser lists exactly the analysis options its handler reads
+    for argv, reads in ANALYSIS_OPTIONS.items():
+        assert run([*argv, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert [flag for flag in ANALYSIS_FLAGS if flag in out] == \
+            list(reads), argv
     # each plot kind lists only its own flag
     for kind, own, other in (("mini", "--ordered", "--color-by"),
                              ("pca", "--color-by", "--ordered")):
