@@ -460,3 +460,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -60,9 +60,11 @@ class PerformanceMatrix:
     ``cells[i][j]`` is the score of ``algorithms[j]`` on ``datasets[i]``,
     or ``None`` where no result exists.  Rows and columns keep the order
     they were first seen in; use :func:`build_matrix` to construct one
-    with full validation.  ``complete`` and ``values`` are the one owner
-    of row completeness and of the float view; both are cached, read-only,
-    as is ``complete_points``, which the searches read.
+    with full validation.  ``values`` is the one owner of the float view,
+    NaN for each gap, and ``complete`` of row completeness, which it
+    reads from that view: :func:`build_matrix` refuses NaN scores, so a
+    NaN there is always a gap.  Both are cached, read-only, as is
+    ``complete_points``, which the searches read.
     """
 
     algorithms: tuple[str, ...]
@@ -108,9 +110,9 @@ class PerformanceMatrix:
 
     @cached_property
     def complete(self) -> np.ndarray:
-        """Per-row bool mask: True where every algorithm has a score."""
-        mask = np.fromiter((None not in row for row in self.cells),
-                           dtype=bool, count=len(self.cells))
+        """Per-row bool mask: True where every algorithm has a score,
+        read from the float view, where a gap is NaN."""
+        mask = ~np.isnan(self.values).any(axis=1)
         mask.flags.writeable = False
         return mask
 

@@ -32,6 +32,9 @@ _FIXTURE_DIR = Path(__file__).parent / "fixtures"
 # the first value is the default
 INPUT_FORMATS = ("auto", "long", "wide")
 _LONG_HEADER = ["dataset", "algorithm", "score"]
+# the most score fields a wide parse reads in one pass, unless one row
+# has more: it bounds the memory the pass adds
+_BLOCK = 8192
 
 
 class MalformedHeaderError(ApsError):
@@ -118,23 +121,41 @@ def _row_scores(tokens: list[str], line: int) -> list[Score]:
     token that is empty or ``NaN`` once stripped is a gap, any other is
     read by ``float`` (so ``nan`` is a number, and out of range).
 
-    A row with no empty token is first read by one ``map(float)``, which
-    is that rule when it raises nothing and gives no NaN.  Any other row
-    is read token by token, and only a row with a token ``float`` refuses
-    is read once more, by :func:`_parse_score`, for its message."""
-    if "" not in tokens:
-        try:
-            scores = list(map(float, tokens))
-        except ValueError:
-            pass
-        else:
-            if not math.isnan(sum(scores)):
-                return scores
+    This is the one owner of that rule for wide rows: it reads the rows
+    of a block that :func:`_block_scores` could not read in one pass.
+    Only a row with a token ``float`` refuses is read once more, by
+    :func:`_parse_score`, for its line-numbered message."""
     try:
         return [None if (s := c.strip()) == "" or s == "NaN" else float(c)
                 for c in tokens]
     except ValueError:
         return [_parse_score(c, line) for c in tokens]
+
+
+def _block_scores(block: list[tuple[int, list[str]]]) -> list[list[Score]]:
+    """The scores of a block of wide rows, each given as its line number
+    and its score tokens, by the rule of :func:`_row_scores`.
+
+    The block's tokens are read in one pass: by one ``map(float)`` when
+    none is empty, else by one comprehension that makes each empty token
+    a gap.  That is the rule for every row when it raises nothing and
+    gives no NaN, so one NaN test over the block's floats accepts it.
+    Where it gives a NaN (a ``NaN`` gap or a float NaN), only the rows
+    that hold one are read again, by :func:`_row_scores`.  Where it
+    raises (a blank gap, or a token ``float`` refuses), every row is,
+    so the block's first fault in file order is the one raised."""
+    tokens = [c for _, row in block for c in row]
+    try:
+        scores = (list(map(float, tokens)) if "" not in tokens
+                  else [float(c) if c else None for c in tokens])
+    except ValueError:
+        return [_row_scores(row, line) for line, row in block]
+    width = len(block[0][1])
+    rows = [scores[i:i + width] for i in range(0, len(scores), width)]
+    if not math.isnan(sum(filter(None, scores))):
+        return rows
+    return [_row_scores(raw, line) if math.isnan(sum(filter(None, row)))
+            else row for (line, raw), row in zip(block, rows)]
 
 
 def _reader(text: str) -> tuple[Iterator[tuple[int, list[str]]],
@@ -205,33 +226,51 @@ def parse_wide(text: str) -> PerformanceMatrix:
     the algorithm columns (zero columns is allowed so degenerate matrices
     round-trip).  Every row must match the header width.
 
-    Each row's scores are read by :func:`_row_scores`, by the rule of
-    :func:`parse_long`.  The rows go to :func:`build_matrix` as one
+    Each row's structure is checked as it is read; its scores are read
+    by the rule of :func:`parse_long`, a block of rows of at most
+    ``_BLOCK`` score fields at a time (see :func:`_block_scores`).  A
+    structure fault is raised only once the earlier rows of its block
+    have passed :func:`_row_scores`, so the first fault in file order is
+    the one reported.  The rows go to :func:`build_matrix` as one
     :class:`~apspace.core.Grid`, which it checks in bulk; only when a
-    check fails does it replay the grid record by record, so the first
-    fault in file order is the one reported.  A header-only text keeps
-    its algorithm columns, each a valid name given once.
+    check fails does it replay the grid record by record.  A header-only
+    text keeps its algorithm columns, each a valid name given once.
     """
     rows, header = _reader(text)
     if not header or header[0] != "dataset":
         raise MalformedHeaderError(
             f"expected wide header starting with 'dataset', got {header!r}")
     algorithms = header[1:]
-    datasets, cells = [], []
-    for line, row in rows:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise RaggedRowError(
-                f"line {line}: expected {len(header)} fields, "
-                f"got {len(row)}")
-        dataset = row[0].strip()
-        if not dataset:
-            raise MalformedRowError(f"line {line}: empty dataset name")
-        if not algorithms:
-            raise EmptyRowError(f"dataset {dataset!r} has no present scores")
-        datasets.append(dataset)
-        cells.append(_row_scores(row[1:], line))
+    per_block = max(_BLOCK // max(len(algorithms), 1), 1)
+    datasets, cells, block, fault = [], [], [], None
+    try:
+        for line, row in rows:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise RaggedRowError(
+                    f"line {line}: expected {len(header)} fields, "
+                    f"got {len(row)}")
+            dataset = row[0].strip()
+            if not dataset:
+                raise MalformedRowError(f"line {line}: empty dataset name")
+            if not algorithms:
+                raise EmptyRowError(
+                    f"dataset {dataset!r} has no present scores")
+            datasets.append(dataset)
+            block.append((line, row[1:]))
+            if len(block) == per_block:
+                cells += _block_scores(block)
+                block = []
+    except ApsError as exc:
+        fault = exc
+    if fault is not None:
+        # a score fault on an earlier line of the block comes first
+        for line, tokens in block:
+            _row_scores(tokens, line)
+        raise fault
+    if block:
+        cells += _block_scores(block)
     if not cells:
         # header-only input: keep the column set so parse(write(m)) == m
         seen = set()

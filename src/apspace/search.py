@@ -507,7 +507,8 @@ def greedy_search(matrix: PerformanceMatrix, size: int,
         subset = tuple(map(names.index, extend.best.datasets))
         score = extend.best.score
     while len(subset) < size:
-        skip = np.isin(np.arange(n), subset)[None]
+        skip = np.zeros((1, n), bool)
+        skip[0, list(subset)] = True
         [((_, subset), score)] = _top(points, variant, sign,
                                       [(np.array([subset]), 0, skip)], 1)
     top = (Selection(tuple(names[i] for i in subset), score, rank=1),)

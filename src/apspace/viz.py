@@ -137,10 +137,10 @@ def _tick(x1: float, y1: float, x2: float, y2: float) -> str:
             f'y2="{_fmt(y2)}" stroke="{_AXIS_COLOR}" stroke-width="1"/>')
 
 
-def _document(x_label: str, y_label: str, ticks: tuple[str, str, str],
-              circles: Iterable[str], legend: Iterable[str] = ()) -> str:
-    """One plot: background, frame, the ``ticks`` labels at 0, 0.5 and 1
-    of both axes, axis titles, then ``circles`` and ``legend``."""
+def _frame(ticks: tuple[str, str, str]) -> str:
+    """What every plot with the same ``ticks`` shares: the svg tag,
+    background, border, and the ``ticks`` labels at 0, 0.5 and 1 of both
+    axes with their tick marks."""
     size = _fmt(_SIZE)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
              f'height="{size}" viewBox="0 0 {size} {size}">',
@@ -153,10 +153,18 @@ def _document(x_label: str, y_label: str, ticks: tuple[str, str, str],
                   _text(px, _BOTTOM + 18, label),
                   _tick(_LEFT - 5, py, _LEFT, py),
                   _text(_LEFT - 8, py + 4, label, anchor="end")]
-    parts += [_text((_LEFT + _RIGHT) / 2, _BOTTOM + 38, x_label, size=13),
-              _text(_LEFT - 40, (_TOP + _BOTTOM) / 2, y_label, size=13,
-                    rotate=True),
-              *circles, *legend, "</svg>"]
+    return "\n".join(parts)
+
+
+def _document(frame: str, x_label: str, y_label: str,
+              circles: Iterable[str], legend: Iterable[str] = ()) -> str:
+    """One plot: its ``frame`` (see :func:`_frame`), axis titles, then
+    ``circles`` and ``legend``."""
+    parts = [frame,
+             _text((_LEFT + _RIGHT) / 2, _BOTTOM + 38, x_label, size=13),
+             _text(_LEFT - 40, (_TOP + _BOTTOM) / 2, y_label, size=13,
+                   rotate=True),
+             *circles, *legend, "</svg>"]
     return "\n".join(parts) + "\n"
 
 
@@ -207,7 +215,8 @@ class _MiniPlots:
     """What every mini plot of one matrix shares, built once per grid.
 
     The scores as float64 with NaN for gaps, the mask of present cells,
-    each column's max and each dataset's circle text, all in draw order.
+    each column's max and each dataset's circle text, all in draw order,
+    and the frame (see :func:`_frame`) every plot of the grid shares.
     Most plots of a grid scale an axis by its column's own max, so that
     column's pixel text is formatted once per axis and kept as a numpy
     string array: at most two per column, however many pairs plot it.
@@ -223,6 +232,7 @@ class _MiniPlots:
         self._column_max = np.fmax.reduce(self.values, axis=0,
                                           initial=-np.inf)
         self._text: dict[tuple[Callable, int], np.ndarray] = {}
+        self.frame = _frame(("0", "0.5", "1"))
 
     def _axis_text(self, to_pixel: Callable, j: int, peak: float,
                    both: np.ndarray) -> list[str]:
@@ -264,7 +274,7 @@ class _MiniPlots:
         """The document of the plot :meth:`scope` returned."""
         both = self.present[:, jx] & self.present[:, jy]
         algorithms = self.matrix.algorithms
-        return _document(algorithms[jx], algorithms[jy], ("0", "0.5", "1"),
+        return _document(self.frame, algorithms[jx], algorithms[jy],
                          _circles(self._axis_text(_x, jx, max_x, both),
                                   self._axis_text(_y, jy, max_y, both),
                                   compress(self.tails, both.tolist())))
@@ -425,6 +435,6 @@ def pca_scatter_svg(projection: PcaProjection,
     order, tails = _point_tails(spec, names, fills)
     fx = (xs[order] - x_lo) / (x_hi - x_lo)
     fy = (ys[order] - y_lo) / (y_hi - y_lo)
-    return _document(x_label, y_label, ticks,
+    return _document(_frame(ticks), x_label, y_label,
                      _circles(_pixel_text(_x(fx)), _pixel_text(_y(fy)), tails),
                      legend)

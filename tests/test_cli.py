@@ -806,14 +806,16 @@ def test_shared_parser_carries_nothing_between_runs(tmp_path, capsys):
 
 
 def test_console_script_entry_point(tmp_path):
-    """The declared ``aps`` script runs as its own process, installed or not."""
+    """The declared ``aps`` script runs as its own process, installed or
+    not, and so does ``python -m apspace.cli``."""
     scripts = re.search(r"^\[project\.scripts\]\s*$(.*?)(?=^\[|\Z)",
                         PYPROJECT.read_text(encoding="utf-8"), re.M | re.S)
     assert scripts and re.search(r'^aps\s*=\s*"apspace\.cli:main"\s*$',
                                  scripts.group(1), re.M), scripts
     # the body of the console-script wrapper that pip installs as `aps`
     wrapper = "import sys; from apspace.cli import main; sys.exit(main())"
-    commands = [[sys.executable, "-c", wrapper]]
+    commands = [[sys.executable, "-c", wrapper],
+                [sys.executable, "-m", "apspace.cli"]]
     if installed := shutil.which("aps"):
         commands.append([installed])
     # the child imports the same apspace as this process, from any cwd

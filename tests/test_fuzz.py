@@ -9,11 +9,13 @@ import io
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apspace import ingest
 from apspace.cli import run
 from apspace.core import (ApsError, EmptyRowError, PerformanceMatrix,
                           _check_label, build_matrix)
@@ -281,6 +283,10 @@ def _outcome(parse, text):
 @settings(deadline=None)
 @given(csv_texts())
 def test_parse_wide_bulk_path_matches_the_record_path(drawn):
+    """At the default block size, and with blocks small enough that most
+    texts span several (one row, and three fields, a block)."""
     text, _ = drawn
-    assert (_outcome(parse_wide, text)
-            == _outcome(_parse_wide_per_record, text))
+    expect = _outcome(_parse_wide_per_record, text)
+    for block in (ingest._BLOCK, 1, 3):
+        with mock.patch.object(ingest, "_BLOCK", block):
+            assert _outcome(parse_wide, text) == expect, block

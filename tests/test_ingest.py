@@ -155,6 +155,48 @@ def test_parse_wide_error_precedence(text, error, message):
     assert str(info.value) == message
 
 
+# A score fault beats a structure fault on a later line, whether the two
+# rows share a block of rows (the default size) or not (one row a block):
+# a ragged row, an empty name or an unclosed quote on line 3 is raised
+# only after line 2's scores are read.
+@pytest.mark.parametrize("block", [ingest._BLOCK, 2],
+                         ids=["one-block", "block-edge"])
+@pytest.mark.parametrize("line_3", ["d2,0.5", "d2,0.5,0.5,0.5", ",0.5,0.5",
+                                    'd2,"0.5,0.5'])
+def test_parse_wide_score_fault_beats_a_later_structure_fault(
+        monkeypatch, block, line_3):
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    with pytest.raises(MalformedRowError) as info:
+        parse_wide(f"dataset,A,B\nd1,0.5,abc\n{line_3}\nd3,0.5,0.5\n")
+    assert str(info.value) == "line 2: cannot parse score 'abc'"
+
+
+@pytest.mark.parametrize("text, reread", [
+    ("dataset,A,B\nd1,0.5,0.25\nd2,1,0\n", []),
+    ("dataset,A,B\nd1,0.5,\nd2,,0\n", []),
+    (fixture_path("thesis_scores.csv").read_text(encoding="utf-8"), []),
+    ("dataset,A,B\nd1,0.5,\nd2, NaN ,0\nd3,1,0\n", [3]),
+    ("dataset,A,B\nd1,0.5,\nd2, ,0\nd3,1,0\n", [2, 3, 4]),
+], ids=["gap-free", "empty-gaps", "corpus", "nan-gap", "blank-gap"])
+def test_parse_wide_reads_row_by_row_only_for_a_spelled_gap(
+        monkeypatch, text, reread):
+    """A block whose gaps are all empty fields is read in one pass.  Of
+    a block with a ``NaN`` gap, only the rows that hold one go through
+    ``_row_scores``; a blank gap, which ``float`` refuses, sends every
+    row of its block there.  The cells are the same either way."""
+    lines = []
+
+    def counted(tokens, line):
+        lines.append(line)
+        return row_scores(tokens, line)
+
+    row_scores = ingest._row_scores
+    expect = parse_wide(text)
+    monkeypatch.setattr(ingest, "_row_scores", counted)
+    assert parse_wide(text) == expect
+    assert lines == reread
+
+
 # How a score token reads, the same through both parsers and in a wide
 # row with or without a gap: only the exact spelling ``NaN`` (or an empty
 # field), once stripped, is a gap; ``nan`` and the infinities parse as
