@@ -216,6 +216,10 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
         if merged[key] not in allowed:
             raise _UserError(f"invalid {what} {merged[key]!r} "
                              f"(choose from {', '.join(allowed)})")
+    if not merged["output_dir"]:
+        # an empty path would write into the current directory
+        raise _UserError("empty output directory; pass a path to "
+                         "--output-dir or to output_dir in the config file")
     return RunConfig(**merged)
 
 

@@ -19,7 +19,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -116,46 +116,70 @@ def _plain_rows(text: str, first: int) -> Iterator[tuple[int, list[str]]]:
             (line.split(",") if line else [] for line in lines), first)
 
 
-def _row_scores(tokens: list[str], line: int) -> list[Score]:
-    """The scores of one wide row, by the rule of :func:`_parse_score`: a
-    token that is empty or ``NaN`` once stripped is a gap, any other is
-    read by ``float`` (so ``nan`` is a number, and out of range).
-
-    This is the one owner of that rule for wide rows: it reads the rows
-    of a block that :func:`_block_scores` could not read in one pass.
-    Only a row with a token ``float`` refuses is read once more, by
-    :func:`_parse_score`, for its line-numbered message."""
+def _blocks(rows: Iterator[tuple[int, list[str]]], size: int
+            ) -> Iterator[list[tuple[int, list[str]]]]:
+    """The non-blank ``rows``, ``size`` at a time.  When the reader
+    raises, the rows it read before the fault are yielded first, so a
+    fault they hold is raised before the reader's: the first fault in
+    file order wins."""
+    block = []
     try:
-        return [None if (s := c.strip()) == "" or s == "NaN" else float(c)
-                for c in tokens]
-    except ValueError:
-        return [_parse_score(c, line) for c in tokens]
+        for line, row in rows:
+            if row:
+                block.append((line, row))
+                if len(block) == size:
+                    yield block
+                    block = []
+    except ApsError:
+        yield block
+        raise
+    if block:
+        yield block
 
 
-def _block_scores(block: list[tuple[int, list[str]]]) -> list[list[Score]]:
-    """The scores of a block of wide rows, each given as its line number
-    and its score tokens, by the rule of :func:`_row_scores`.
+def _wide_block(block: list[tuple[int, list[str]]], width: int
+                ) -> tuple[list[str], list[list[Score]]]:
+    """The dataset names and the score rows of a block of wide rows, each
+    given as its line number and its fields, under a header of ``width``
+    fields.
 
-    The block's tokens are read in one pass: by one ``map(float)`` when
-    none is empty, else by one comprehension that makes each empty token
-    a gap.  That is the rule for every row when it raises nothing and
-    gives no NaN, so one NaN test over the block's floats accepts it.
-    Where it gives a NaN (a ``NaN`` gap or a float NaN), only the rows
-    that hold one are read again, by :func:`_row_scores`.  Where it
-    raises (a blank gap, or a token ``float`` refuses), every row is,
-    so the block's first fault in file order is the one raised."""
-    tokens = [c for _, row in block for c in row]
-    try:
-        scores = (list(map(float, tokens)) if "" not in tokens
-                  else [float(c) if c else None for c in tokens])
-    except ValueError:
-        return [_row_scores(row, line) for line, row in block]
-    width = len(block[0][1])
-    rows = [scores[i:i + width] for i in range(0, len(scores), width)]
-    if not math.isnan(sum(filter(None, scores))):
-        return rows
-    return [_row_scores(raw, line) if math.isnan(sum(filter(None, row)))
-            else row for (line, raw), row in zip(block, rows)]
+    When every row has ``width`` fields and a name, and the header has an
+    algorithm column, the block's score tokens are read in one pass: by
+    one ``map(float)`` when none is empty, else by one comprehension
+    that makes each empty token a gap.  Where that pass gives a NaN (a
+    ``NaN`` gap, or ``nan``), only the rows that hold one are read again
+    by :func:`_parse_score`, which cannot raise on tokens ``float`` read.
+    Any other block, one that the pass raises on included, is read row
+    by row by the reference rule: a ragged row, then an empty name, then
+    no algorithm column, then :func:`_parse_score` on each token.  So the
+    block's first fault in file order is the one raised."""
+    names = [row[0].strip() for _, row in block]
+    if width > 1 and all(names) and {len(r) for _, r in block} == {width}:
+        tokens = [c for _, row in block for c in row[1:]]
+        try:
+            scores = (list(map(float, tokens)) if "" not in tokens
+                      else [float(c) if c else None for c in tokens])
+        except ValueError:  # a blank gap or a bad token: read by the rule
+            pass
+        else:
+            step = width - 1
+            rows = [scores[i:i + step] for i in range(0, len(scores), step)]
+            if math.isnan(sum(filter(None, scores))):
+                rows = [[_parse_score(c, line) for c in raw[1:]]
+                        if math.isnan(sum(filter(None, row))) else row
+                        for (line, raw), row in zip(block, rows)]
+            return names, rows
+    rows = []
+    for name, (line, row) in zip(names, block):
+        if len(row) != width:
+            raise RaggedRowError(
+                f"line {line}: expected {width} fields, got {len(row)}")
+        if not name:
+            raise MalformedRowError(f"line {line}: empty dataset name")
+        if width == 1:
+            raise EmptyRowError(f"dataset {name!r} has no present scores")
+        rows.append([_parse_score(c, line) for c in row[1:]])
+    return names, rows
 
 
 def _reader(text: str) -> tuple[Iterator[tuple[int, list[str]]],
@@ -226,13 +250,12 @@ def parse_wide(text: str) -> PerformanceMatrix:
     the algorithm columns (zero columns is allowed so degenerate matrices
     round-trip).  Every row must match the header width.
 
-    Each row's structure is checked as it is read; its scores are read
-    by the rule of :func:`parse_long`, a block of rows of at most
-    ``_BLOCK`` score fields at a time (see :func:`_block_scores`).  A
-    structure fault is raised only once the earlier rows of its block
-    have passed :func:`_row_scores`, so the first fault in file order is
-    the one reported.  The rows go to :func:`build_matrix` as one
-    :class:`~apspace.core.Grid`, which it checks in bulk; only when a
+    The non-blank rows are read a block of at most ``_BLOCK`` score
+    fields at a time (see :func:`_blocks`), each block by
+    :func:`_wide_block`: in one pass when it is well formed, else row by
+    row by the rule of :func:`parse_long`, so the first fault in file
+    order is the one reported.  The rows go to :func:`build_matrix` as
+    one :class:`~apspace.core.Grid`, which it checks in bulk; only when a
     check fails does it replay the grid record by record.  A header-only
     text keeps its algorithm columns, each a valid name given once.
     """
@@ -241,36 +264,12 @@ def parse_wide(text: str) -> PerformanceMatrix:
         raise MalformedHeaderError(
             f"expected wide header starting with 'dataset', got {header!r}")
     algorithms = header[1:]
-    per_block = max(_BLOCK // max(len(algorithms), 1), 1)
-    datasets, cells, block, fault = [], [], [], None
-    try:
-        for line, row in rows:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise RaggedRowError(
-                    f"line {line}: expected {len(header)} fields, "
-                    f"got {len(row)}")
-            dataset = row[0].strip()
-            if not dataset:
-                raise MalformedRowError(f"line {line}: empty dataset name")
-            if not algorithms:
-                raise EmptyRowError(
-                    f"dataset {dataset!r} has no present scores")
-            datasets.append(dataset)
-            block.append((line, row[1:]))
-            if len(block) == per_block:
-                cells += _block_scores(block)
-                block = []
-    except ApsError as exc:
-        fault = exc
-    if fault is not None:
-        # a score fault on an earlier line of the block comes first
-        for line, tokens in block:
-            _row_scores(tokens, line)
-        raise fault
-    if block:
-        cells += _block_scores(block)
+    datasets, cells = [], []
+    blocks = _blocks(rows, max(_BLOCK // max(len(algorithms), 1), 1))
+    # map keeps no block alive while _blocks reads the next
+    for names, scores in map(_wide_block, blocks, repeat(len(header))):
+        datasets += names
+        cells += scores
     if not cells:
         # header-only input: keep the column set so parse(write(m)) == m
         seen = set()

@@ -728,6 +728,23 @@ def test_env_output_dir_and_override(tmp_path, monkeypatch):
     assert (flag_dir / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_empty_output_dir_is_a_user_error(tmp_path, monkeypatch, capsys, via):
+    """An empty output directory is refused before anything is written,
+    not taken as the current directory."""
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("output_dir =\n", encoding="utf-8")
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    given = ["-o", ""] if via == "flag" else ["--config", str(cfg)]
+    assert run(["metrics", "-i", FIXTURE, *given]) == 1
+    assert capsys.readouterr().err == (
+        "error: empty output directory; pass a path to --output-dir or to "
+        "output_dir in the config file\n")
+    assert not any(cwd.iterdir())
+
+
 def test_repeat_runs_are_byte_identical_and_clean(outdir):
     for _ in range(2):
         assert run(["metrics", "-i", FIXTURE, "-o", str(outdir)]) == 0

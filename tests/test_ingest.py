@@ -171,6 +171,50 @@ def test_parse_wide_score_fault_beats_a_later_structure_fault(
     assert str(info.value) == "line 2: cannot parse score 'abc'"
 
 
+# ... while a valid spelled gap on line 2 hides none of them: line 3's
+# fault is the one raised.
+@pytest.mark.parametrize("block", [ingest._BLOCK, 2],
+                         ids=["one-block", "block-edge"])
+@pytest.mark.parametrize("gap", [" NaN ", " "], ids=["nan", "blank"])
+@pytest.mark.parametrize("line_3, error, message", [
+    ("d2,0.5", RaggedRowError, "line 3: expected 3 fields, got 2"),
+    (",0.5,0.5", MalformedRowError, "line 3: empty dataset name"),
+    ('d2,"0.5,0.5', MalformedRowError,
+     "line 3: quoted field not closed before the end of the input"),
+], ids=["ragged", "empty-name", "unclosed"])
+def test_parse_wide_spelled_gap_hides_no_later_structure_fault(
+        monkeypatch, block, gap, line_3, error, message):
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    with pytest.raises(error) as info:
+        parse_wide(f"dataset,A,B\nd1,0.5,{gap}\n{line_3}\nd3,0.5,0.5\n")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("width", [3, 9, 21])
+def test_parse_wide_reads_a_bounded_block_at_a_time(monkeypatch, width):
+    """No block holds more than ``_BLOCK`` score fields, unless one row
+    alone has more, whichever path reads it."""
+    fields = []
+
+    def counted(block, width):
+        fields.append(sum(len(row) - 1 for _, row in block))
+        return wide_block(block, width)
+
+    wide_block = ingest._wide_block
+    # each row has a score, and the blocks take both paths
+    rows = [f"d{i},0.25," + ",".join(["0.5", " ", "", "NaN"][(i + j) % 4]
+                                     for j in range(width - 2))
+            for i in range(40)]
+    text = "\n".join(["dataset," + ",".join(f"a{j}" for j in
+                                            range(width - 1)), *rows])
+    expect = parse_wide(text)
+    monkeypatch.setattr(ingest, "_BLOCK", 16)
+    monkeypatch.setattr(ingest, "_wide_block", counted)
+    assert parse_wide(text) == expect
+    assert sum(fields) == 40 * (width - 1)
+    assert max(fields) <= max(ingest._BLOCK, width - 1)
+
+
 @pytest.mark.parametrize("text, reread", [
     ("dataset,A,B\nd1,0.5,0.25\nd2,1,0\n", []),
     ("dataset,A,B\nd1,0.5,\nd2,,0\n", []),
@@ -182,19 +226,19 @@ def test_parse_wide_reads_row_by_row_only_for_a_spelled_gap(
         monkeypatch, text, reread):
     """A block whose gaps are all empty fields is read in one pass.  Of
     a block with a ``NaN`` gap, only the rows that hold one go through
-    ``_row_scores``; a blank gap, which ``float`` refuses, sends every
+    ``_parse_score``; a blank gap, which ``float`` refuses, sends every
     row of its block there.  The cells are the same either way."""
     lines = []
 
-    def counted(tokens, line):
+    def counted(token, line):
         lines.append(line)
-        return row_scores(tokens, line)
+        return parse_score(token, line)
 
-    row_scores = ingest._row_scores
+    parse_score = ingest._parse_score
     expect = parse_wide(text)
-    monkeypatch.setattr(ingest, "_row_scores", counted)
+    monkeypatch.setattr(ingest, "_parse_score", counted)
     assert parse_wide(text) == expect
-    assert lines == reread
+    assert sorted(set(lines)) == reread
 
 
 # How a score token reads, the same through both parsers and in a wide
