@@ -324,13 +324,12 @@ def _cmd_pca(matrix: PerformanceMatrix, cfg: RunConfig,
              ns: argparse.Namespace) -> int:
     projection = pca_project(matrix, k=ns.components,
                              imputation=cfg.pca_imputation)
-    k = projection.coordinates.shape[1]
-    rows = [[name, *(_fmt4(float(v)) for v in projection.coordinates[i])]
-            for i, name in enumerate(projection.dataset_ids)]
+    rows = [[name, *map(_fmt4, point)] for name, point in
+            zip(projection.dataset_ids, projection.coordinates.tolist())]
     trailer = "# explained_variance_ratio," + ",".join(
-        _fmt4(float(r)) for r in projection.explained_variance_ratio)
-    _emit(cfg, "pca.csv", ingest.csv_text(
-        ["dataset", *(f"pc{i + 1}" for i in range(k))], rows, trailer))
+        map(_fmt4, projection.explained_variance_ratio.tolist()))
+    header = ["dataset", *(f"pc{i + 1}" for i in range(ns.components))]
+    _emit(cfg, "pca.csv", ingest.csv_text(header, rows, trailer))
     return 0
 
 
@@ -350,8 +349,8 @@ def _cmd_plot_mini(matrix: PerformanceMatrix, cfg: RunConfig,
             raise ApsError(f"plot labels {seen[name]!r} and {label!r} "
                            f"both map to mini_{name}.svg")
         seen[name] = label
-    for label, svg in grid.plots:
-        _emit(cfg, f"mini_{_safe_name(label)}.svg", svg)
+    for name, (_, svg) in zip(seen, grid.plots):
+        _emit(cfg, f"mini_{name}.svg", svg)
     return 0
 
 
@@ -425,8 +424,8 @@ def _cmd_report(matrix: PerformanceMatrix, cfg: RunConfig,
     try:
         k = min(2, matrix.n_algorithms)
         projection = pca_project(matrix, k=k, imputation=cfg.pca_imputation)
-        ratios = ", ".join(_fmt4(float(r))
-                           for r in projection.explained_variance_ratio)
+        ratios = ", ".join(
+            map(_fmt4, projection.explained_variance_ratio.tolist()))
         lines.append(f"Explained variance ratios (k={k}, "
                      f"{cfg.pca_imputation}): {ratios}.")
     except ApsError as exc:

@@ -146,9 +146,9 @@ def _wide_block(block: list[tuple[int, list[str]]], width: int
     When every row has ``width`` fields and a name, and the header has an
     algorithm column, the block's score tokens are read in one pass: by
     one ``map(float)`` when none is empty, else by one comprehension
-    that makes each empty token a gap.  Where that pass gives a NaN (a
-    ``NaN`` gap, or ``nan``), only the rows that hold one are read again
-    by :func:`_parse_score`, which cannot raise on tokens ``float`` read.
+    that makes each empty token a gap.  Only the tokens the pass read as
+    NaN (a ``NaN`` gap, or ``nan``) are read again, by
+    :func:`_parse_score`, which cannot raise on tokens ``float`` read.
     Any other block, one that the pass raises on included, is read row
     by row by the reference rule: a ragged row, then an empty name, then
     no algorithm column, then :func:`_parse_score` on each token.  So the
@@ -165,7 +165,8 @@ def _wide_block(block: list[tuple[int, list[str]]], width: int
             step = width - 1
             rows = [scores[i:i + step] for i in range(0, len(scores), step)]
             if math.isnan(sum(filter(None, scores))):
-                rows = [[_parse_score(c, line) for c in raw[1:]]
+                rows = [[_parse_score(c, line) if v != v else v
+                         for c, v in zip(raw[1:], row)]
                         if math.isnan(sum(filter(None, row))) else row
                         for (line, raw), row in zip(block, rows)]
             return names, rows

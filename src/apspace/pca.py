@@ -106,17 +106,17 @@ def eigh_symmetric(a) -> tuple[np.ndarray, np.ndarray]:
                         abs(theta) + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                for row in a:  # columns p and q
-                    x, y = row[p], row[q]
-                    row[p] = c * x - s * y
-                    row[q] = s * x + c * y
-                row_p, row_q = a[p], a[q]
-                a[p] = [c * x - s * y for x, y in zip(row_p, row_q)]
-                a[q] = [s * x + c * y for x, y in zip(row_p, row_q)]
-                a[p][q] = a[q][p] = 0.0
-                vp, vq = vt[p], vt[q]
-                vt[p] = [c * x - s * y for x, y in zip(vp, vq)]
-                vt[q] = [s * x + c * y for x, y in zip(vp, vq)]
+                # exact symmetry since the fold: a rotation writes one float
+                # to an entry and its mirror, so rows p, q are columns p, q
+                rp, rq = ([c * x - s * y for x, y in zip(a[p], a[q])],
+                          [s * x + c * y for x, y in zip(a[p], a[q])])
+                rp[p], rq[q] = c * rp[p] - s * rp[q], s * rq[p] + c * rq[q]
+                rp[q] = rq[p] = 0.0
+                for row, x, y in zip(a, rp, rq):
+                    row[p], row[q] = x, y
+                a[p], a[q] = rp, rq
+                vt[p], vt[q] = ([c * x - s * y for x, y in zip(vt[p], vt[q])],
+                                [s * x + c * y for x, y in zip(vt[p], vt[q])])
     vals = np.array([a[j][j] for j in range(n)], dtype=float)
     # C order: BLAS may round the projection differently for another layout
     v = np.array(vt, dtype=float).reshape(n, n).T.copy()

@@ -164,8 +164,8 @@ def _document(frame: str, x_label: str, y_label: str,
              _text((_LEFT + _RIGHT) / 2, _BOTTOM + 38, x_label, size=13),
              _text(_LEFT - 40, (_TOP + _BOTTOM) / 2, y_label, size=13,
                    rotate=True),
-             *circles, *legend, "</svg>"]
-    return "\n".join(parts) + "\n"
+             *circles, *legend, "</svg>", ""]
+    return "\n".join(parts)
 
 
 def _point_tails(spec: PlotSpec, names: Sequence[str],

@@ -10,6 +10,7 @@ from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import apspace
@@ -854,6 +855,66 @@ def test_console_script_entry_point(tmp_path):
                                 encoding="utf-8", env=env, cwd=tmp_path,
                                 timeout=120)
         assert result.returncode == 2, (command, result.stderr)
+
+
+def _built_on_openblas():
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.25 only prints its configuration
+        return False
+    return "openblas" in config["Build Dependencies"]["blas"]["name"]
+
+
+# Commands whose output goes through numpy's matrix products (the PCA
+# covariance and projection) and its SIMD loops (the search's blocks).
+KERNEL_COMMANDS = [
+    ["pca", "--components", "3", "--pca-imputation", "mean-fill"],
+    ["plot", "pca", "--color-by", "difficulty", "--pca-imputation",
+     "mean-fill"],
+    ["select", "--size", "2..5", "--top", "3"],
+    ["select", "--size", "2..4", "--mode", "min", "--diversity-variant",
+     "literal-sqrt"],
+]
+
+
+def test_outputs_are_the_same_bytes_under_other_kernels(tmp_path):
+    """OpenBLAS's Prescott and Haswell kernels, and numpy without its
+    AVX-512 loops, give every file the bytes the default kernels give.
+    Each setting reaches only the child process."""
+    if not _built_on_openblas():
+        pytest.skip("numpy is not built on OpenBLAS")
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x, which has none of these names
+        from numpy.core import _multiarray_umath as umath
+    simd = [f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+            if umath.__cpu_features__.get(f) and f in umath.__cpu_dispatch__]
+    cases = {"default": {}, "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+             "haswell": {"OPENBLAS_CORETYPE": "Haswell"}}
+    if simd:
+        cases["no-avx512"] = {"NPY_DISABLE_CPU_FEATURES": " ".join(simd)}
+    source_root = str(Path(apspace.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    written = {}
+    for case, settings in cases.items():
+        env = {**base, "PYTHONPATH": source_root, **settings}
+        files = {}
+        for i, argv in enumerate(KERNEL_COMMANDS):
+            outdir = tmp_path / case / str(i)
+            result = subprocess.run(
+                [sys.executable, "-m", "apspace.cli", *argv, "-i", FIXTURE,
+                 "-o", str(outdir)], capture_output=True, text=True,
+                encoding="utf-8", env=env, timeout=120)
+            assert result.returncode == 0, (case, argv, result.stderr)
+            files |= {f"{i}/{p.name}": p.read_bytes()
+                      for p in outdir.iterdir()}
+        written[case] = files
+    assert sorted(written["default"]) == [
+        "0/pca.csv", "1/pca_scatter.svg", "2/selections.csv",
+        "3/selections.csv"]
+    for case, files in written.items():
+        assert files == written["default"], case
 
 
 def test_each_choice_default_is_the_first_value_of_its_tuple(monkeypatch,

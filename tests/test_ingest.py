@@ -225,9 +225,9 @@ def test_parse_wide_reads_a_bounded_block_at_a_time(monkeypatch, width):
 def test_parse_wide_reads_row_by_row_only_for_a_spelled_gap(
         monkeypatch, text, reread):
     """A block whose gaps are all empty fields is read in one pass.  Of
-    a block with a ``NaN`` gap, only the rows that hold one go through
-    ``_parse_score``; a blank gap, which ``float`` refuses, sends every
-    row of its block there.  The cells are the same either way."""
+    a block with a ``NaN`` gap, only the tokens the pass read as NaN go
+    through ``_parse_score``; a blank gap, which ``float`` refuses, sends
+    every row of its block there.  The cells are the same either way."""
     lines = []
 
     def counted(token, line):
@@ -239,6 +239,23 @@ def test_parse_wide_reads_row_by_row_only_for_a_spelled_gap(
     monkeypatch.setattr(ingest, "_parse_score", counted)
     assert parse_wide(text) == expect
     assert sorted(set(lines)) == reread
+
+
+def test_parse_wide_rereads_only_the_tokens_read_as_nan(monkeypatch):
+    """In a row whose one pass gives a NaN, ``_parse_score`` reads the
+    token ``float`` read as NaN, not the row's other tokens."""
+    calls = []
+
+    def counted(token, line):
+        calls.append((token, line))
+        return parse_score(token, line)
+
+    parse_score = ingest._parse_score
+    text = "dataset,A,B,C\nd1,0.5, NaN ,0.3\n"
+    expect = parse_wide(text)
+    monkeypatch.setattr(ingest, "_parse_score", counted)
+    assert parse_wide(text) == expect
+    assert calls == [(" NaN ", 2)]
 
 
 # How a score token reads, the same through both parsers and in a wide
