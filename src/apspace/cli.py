@@ -246,6 +246,14 @@ def _emit(cfg: RunConfig, name: str, text: str) -> None:
     print(f"wrote {path}", file=sys.stderr)
 
 
+def _warn_left_out(matrix: PerformanceMatrix, used: int, what: str) -> None:
+    """Say on stderr how many datasets a command left out for a gap."""
+    total = len(matrix.datasets)
+    if used < total:
+        print(f"warning: {total - used} of {total} datasets have missing "
+              f"scores and are left out of the {what}", file=sys.stderr)
+
+
 def _cmd_validate(matrix: PerformanceMatrix, cfg: RunConfig,
                   ns: argparse.Namespace) -> int:
     rep = ingest.validate(matrix)
@@ -295,7 +303,9 @@ def _cmd_select(matrix: PerformanceMatrix, cfg: RunConfig,
                 ns: argparse.Namespace) -> int:
     # the largest size fails now if it exceeds the complete rows, before
     # the smaller sizes are searched
-    _prepare(matrix, max(ns.sizes), ns.mode, cfg.diversity_variant)
+    names, _, _ = _prepare(matrix, max(ns.sizes), ns.mode,
+                           cfg.diversity_variant)
+    _warn_left_out(matrix, len(names), "search")
     rows, result = [], None
     for size in ns.sizes:
         if ns.strategy == "greedy":  # each size grows the one before it
@@ -314,6 +324,16 @@ def _cmd_select(matrix: PerformanceMatrix, cfg: RunConfig,
     return 0
 
 
+def _project(matrix: PerformanceMatrix, cfg: RunConfig, k: int):
+    """``pca_project`` under the configured imputation; says on stderr
+    how many datasets it left out, and which imputation keeps them."""
+    projection = pca_project(matrix, k=k, imputation=cfg.pca_imputation)
+    _warn_left_out(matrix, len(projection.dataset_ids),
+                   "projection; --pca-imputation "
+                   + " or ".join(IMPUTATION_MODES[1:]) + " keeps them")
+    return projection
+
+
 def _check_pca(ns: argparse.Namespace) -> None:
     # a count above the algorithm count depends on the data: exit 2 there
     if ns.components < 1:
@@ -322,8 +342,7 @@ def _check_pca(ns: argparse.Namespace) -> None:
 
 def _cmd_pca(matrix: PerformanceMatrix, cfg: RunConfig,
              ns: argparse.Namespace) -> int:
-    projection = pca_project(matrix, k=ns.components,
-                             imputation=cfg.pca_imputation)
+    projection = _project(matrix, cfg, ns.components)
     rows = [[name, *map(_fmt4, point)] for name, point in
             zip(projection.dataset_ids, projection.coordinates.tolist())]
     trailer = "# explained_variance_ratio," + ",".join(
@@ -342,12 +361,21 @@ def _cmd_plot_mini(matrix: PerformanceMatrix, cfg: RunConfig,
     grid = mini_aps_grid(matrix, ordered=ns.ordered)
     for warning in grid.warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    try:
+        name_max = os.pathconf(cfg.output_dir, "PC_NAME_MAX")
+    except (AttributeError, OSError):  # no pathconf, or no directory yet
+        name_max = 255
     seen: dict[str, str] = {}
     for label in grid.plots.labels:
         name = _safe_name(label)
         if name in seen:
             raise ApsError(f"plot labels {seen[name]!r} and {label!r} "
                            f"both map to mini_{name}.svg")
+        size = len(f"mini_{name}.svg".encode())
+        if size > name_max:
+            raise _UserError(f"plot {label!r} needs a {size}-byte file "
+                             f"name, over the {name_max}-byte limit of "
+                             f"{cfg.output_dir}")
         seen[name] = label
     for name, (_, svg) in zip(seen, grid.plots):
         _emit(cfg, f"mini_{name}.svg", svg)
@@ -362,7 +390,7 @@ def _check_plot_pca(ns: argparse.Namespace) -> None:
 
 def _cmd_plot_pca(matrix: PerformanceMatrix, cfg: RunConfig,
                   ns: argparse.Namespace) -> int:
-    projection = pca_project(matrix, k=2, imputation=cfg.pca_imputation)
+    projection = _project(matrix, cfg, 2)
     metric_values = None
     if ns.color_by:
         rows = metric_table(matrix, cfg.difficulty_orientation).rows

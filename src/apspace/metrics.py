@@ -106,6 +106,22 @@ class DiversityBreakdown:
     score: float
 
 
+def _coverage(volume, n_axes: int, variant: str):
+    """Nth root over ``n_axes`` axes of a box volume, a float or an
+    array, or its square root under ``literal-sqrt``: libm ``pow`` or
+    ``math.sqrt`` on a float, numpy's on an array (sqrt rounds alike)."""
+    if variant == "literal-sqrt":
+        return (np.sqrt(volume) if isinstance(volume, np.ndarray)
+                else math.sqrt(volume))
+    return volume ** (1.0 / n_axes)
+
+
+def _factor(var_d, n_axes: int):
+    """One less a distance variance's share of ``n_axes / 4``, its ceiling
+    for scores in [0, 1]; the variance is a float or an array."""
+    return 1.0 - var_d / (n_axes / 4.0)
+
+
 def _evaluate(vecs: Sequence[Sequence[float]], n_axes: int, variant: str):
     """Core diversity arithmetic, single code path for all callers.
 
@@ -119,8 +135,7 @@ def _evaluate(vecs: Sequence[Sequence[float]], n_axes: int, variant: str):
     var_d = left_sum((d - mu) ** 2 for d in dists) / len(dists)
     ranges = [max(c) - min(c) for c in zip(*vecs)]
     vol = math.prod(ranges)
-    coverage = math.sqrt(vol) if variant == "literal-sqrt" else vol ** (1.0 / n_axes)
-    score = (1.0 - var_d / (n_axes / 4.0)) * coverage
+    score = _factor(var_d, n_axes) * _coverage(vol, n_axes, variant)
     return dists, mu, var_d, ranges, vol, score
 
 
@@ -129,13 +144,12 @@ def diversity(rows: Sequence[Sequence[float]],
               datasets: Sequence[str] | None = None) -> DiversityBreakdown:
     """Score how evenly a set of complete rows spans the space.
 
-    The score is ``(1 - Var(D) / (n/4)) * coverage`` where ``D`` is the
-    set of pairwise Euclidean distances, ``Var`` is the population
-    variance, ``n/4`` is the variance ceiling for n axes with scores in
-    [0, 1], and coverage is the nth root of the bounding-volume product
-    (per-axis range).  ``variant="literal-sqrt"`` takes a square root of
-    the volume regardless of n instead.  Higher is more diverse; two
-    coincident points score exactly 0.
+    The score is :func:`_factor` of ``Var(D)`` times :func:`_coverage`
+    of the bounding-volume product (per-axis range), where ``D`` is the
+    set of pairwise Euclidean distances and ``Var`` is the population
+    variance.  ``variant="literal-sqrt"`` takes a square root of the
+    volume regardless of n instead of its nth root.  Higher is more
+    diverse; two coincident points score exactly 0.
     """
     _check_variant(variant)
     n = _check_points(rows)

@@ -21,8 +21,8 @@ import numpy as np
 
 from .core import ApsError, PerformanceMatrix
 from .metrics import (DIVERSITY_VARIANTS, DimensionMismatchError,
-                      DiversityBreakdown, _check_variant, _evaluate,
-                      diversity)
+                      DiversityBreakdown, _check_variant, _coverage,
+                      _evaluate, _factor, diversity)
 
 # the first value is the default
 SEARCH_MODES = ("max", "min")
@@ -149,8 +149,8 @@ def _distances(rows, PT):
 
 def _block_keyer(P, n_axes, variant, sign, full=None):
     """Return ``keys(pre, start)``: the ``B x (n - start)`` keys ``sign *
-    score`` of every ``pre[b] + (j,)`` with ``j >= start``, by the formula
-    of ``metrics._evaluate`` over the points ``P``.  Each prefix's
+    score`` of every ``pre[b] + (j,)`` with ``j >= start`` over the points
+    ``P``, by ``metrics._factor`` and ``metrics._coverage``.  Each prefix's
     bounding box and its sums ``S1``/``S2`` of distances and squared
     distances are computed once for all its extensions; the distance
     variance is ``S2/m - (S1/m)**2``, clipped at 0.
@@ -186,8 +186,7 @@ def _block_keyer(P, n_axes, variant, sign, full=None):
             span = np.maximum(box.max(axis=1)[..., None], ends)
             span -= np.minimum(box.min(axis=1)[..., None], ends)
             vol = span.prod(axis=0)
-        coverage = (np.sqrt(vol) if variant == "literal-sqrt"
-                    else vol ** (1.0 / n_axes))
+        coverage = _coverage(vol, n_axes, variant)
         if len(cols) == 1:
             return sign * coverage
         if full is None:  # row at[r, b] of D: point r of prefix b
@@ -202,7 +201,7 @@ def _block_keyer(P, n_axes, variant, sign, full=None):
         outer *= outer
         s2 = (inner * inner).sum(axis=(0, 1))[:, None] / 2 + outer.sum(axis=0)
         var_d = np.maximum(s2 / m - (s1 / m) ** 2, 0.0)
-        return sign * (1.0 - var_d / (n_axes / 4.0)) * coverage
+        return sign * _factor(var_d, n_axes) * coverage
 
     return keys
 
@@ -213,13 +212,14 @@ def _bounded_blocks(Q, size, variant, D, cut):
     search walks this tree for sizes 3 up to half the rows.  ``D`` is
     the distance matrix of ``Q`` from :func:`_distances`.
 
-    A subset T of k rows scores ``factor * coverage``, with ``factor =
-    1 - Var(D_T)/(a/4)`` over its a axes.  Every completion of a prefix
-    S, whose other members come after the prefix's last row, has a
-    coverage of at most that of the box of the prefix and all those
-    rows.  S fixes C(d, 2) of T's C(k, 2) distances, and by the law of
-    total variance ``Var(D_T) >= C(d,2)/C(k,2) * Var(D_S)``, so T's
-    factor is at most ``1 - C(d,2)/C(k,2) * Var(D_S)/(a/4)``.  A score
+    A subset T of k rows scores ``metrics._factor`` of ``Var(D_T)``
+    times ``metrics._coverage`` of its box volume.  Every completion of
+    a prefix S, whose other members come after the prefix's last row,
+    has a coverage of at most that of the box of the prefix and all
+    those rows.  S fixes C(d, 2) of T's C(k, 2) distances, and by the
+    law of total variance ``Var(D_T) >= C(d,2)/C(k,2) * Var(D_S)``; the
+    factor falls as the variance grows, so T's is at most its value at
+    that lower bound.  A score
     is therefore at most the box's coverage times that factor bound
     clipped at 0; ``Var(D_S)`` is ``S2/m - (S1/m)**2`` from the sums
     ``S1``/``S2`` of the m = C(d, 2) distances and their squares, which
@@ -258,8 +258,7 @@ def _bounded_blocks(Q, size, variant, D, cut):
         j = np.arange(last.min() + 1, n - size + depth + 1)
         vol = (np.maximum(hi[:, None], tail_hi[j])
                - np.minimum(lo[:, None], tail_lo[j])).prod(axis=2)
-        bound = -(np.sqrt(vol) if variant == "literal-sqrt"
-                  else vol ** (1.0 / n_axes))
+        bound = -_coverage(vol, n_axes, variant)
         b, w = divmod(np.flatnonzero((j > last[:, None])
                                     & (bound <= cut() + _TIE_TOL)), len(j))
         bound, s1, s2 = bound[b, w], s1[b], s2[b]
@@ -271,7 +270,7 @@ def _bounded_blocks(Q, size, variant, D, cut):
             m = math.comb(depth + 1, 2)
             var_d = s2 / m - (s1 / m) ** 2
             bound *= np.maximum(
-                1.0 - var_d * (m / math.comb(size, 2) / (n_axes / 4.0)), 0.0)
+                _factor(var_d * (m / math.comb(size, 2)), n_axes), 0.0)
             keep = np.flatnonzero(bound <= cut() + _TIE_TOL)
             b, w, bound = b[keep], w[keep], bound[keep]
             s1, s2 = s1[keep], s2[keep]

@@ -209,6 +209,29 @@ def test_select_row_order_determinism(tmp_path):
     assert read(a / "selections.csv") == read(b / "selections.csv")
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_outputs_keep_their_lines_under_shuffled_rows(tmp_path, seed):
+    """Shuffled corpus rows give the same metrics.csv, pca.csv under
+    each imputation and report.md lines, once sorted: the column means
+    and ``x.T @ x`` sum in row order, and no printed figure may show
+    it."""
+    header, *rows = read(Path(FIXTURE)).splitlines()
+    order = np.random.default_rng(seed).permutation(len(rows))
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("\n".join([header, *(rows[i] for i in order)])
+                        + "\n", encoding="utf-8")
+    commands = [(["metrics"], "metrics.csv"), (["report"], "report.md")]
+    commands += [(["pca", "--pca-imputation", mode], "pca.csv")
+                 for mode in IMPUTATION_MODES]
+    for command, name in commands:
+        lines = []
+        for src, out in ((FIXTURE, tmp_path / "given"),
+                         (str(shuffled), tmp_path / "shuffled")):
+            assert run([*command, "-i", src, "-o", str(out)]) == 0
+            lines.append(sorted(read(out / name).splitlines()))
+        assert lines[0] == lines[1], command
+
+
 def test_pca_csv_with_sidecar(outdir):
     assert run(["pca", "--components", "2", "--pca-imputation", "mean-fill",
                 "-i", FIXTURE, "-o", str(outdir)]) == 0
@@ -223,6 +246,29 @@ def test_pca_default_imputation_drops_gappy_rows(outdir):
     lines = read(outdir / "pca.csv").splitlines()
     assert len(lines) == 41  # header + 39 complete rows + sidecar
     assert not any(line.startswith("Epinions,") for line in lines)
+
+
+_KEEPS = "; --pca-imputation zero-fill or mean-fill keeps them"
+
+
+@pytest.mark.parametrize("command, what", [
+    (["select", "--size", "3"], "search"),
+    (["pca"], "projection" + _KEEPS),
+    (["plot", "pca"], "projection" + _KEEPS),
+    (["pca", "--pca-imputation", "mean-fill"], None),
+    (["plot", "pca", "--pca-imputation", "zero-fill"], None),
+], ids=["select", "pca", "plot-pca", "pca-mean-fill", "plot-pca-zero-fill"])
+def test_rows_left_out_are_named_on_stderr(outdir, capsys, command, what):
+    """The corpus's 32 datasets with a gap are left out under the
+    default: one warning says so before the file is written.  An
+    imputation that keeps every dataset prints none."""
+    assert run([*command, "-i", FIXTURE, "-o", str(outdir)]) == 0
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if not line.startswith("config: ")]
+    warning = [] if what is None else [
+        f"warning: 32 of 71 datasets have missing scores and are left out "
+        f"of the {what}"]
+    assert err[:-1] == warning and err[-1].startswith("wrote ")
 
 
 def test_plot_mini_writes_all_panels(outdir, capsys):
@@ -243,6 +289,27 @@ def test_plot_mini_file_name_collision_fails(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'x y_vs_z'" in err and "'x_y_vs_z'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("exists", [False, True])
+def test_plot_mini_file_name_too_long_fails_before_writing(tmp_path, capsys,
+                                                          exists):
+    """Two 131-character names make a 275-byte file name: exit 1 naming
+    the pair and the limit, before the pairs with x write theirs."""
+    a, b = "a" * 131, "b" * 131
+    src = tmp_path / "long.csv"
+    src.write_text(f"dataset,x,{a},{b}\nd1,0.1,0.2,0.3\nd2,0.4,0.5,0.6\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    limit = 255  # where the directory does not exist yet
+    if exists:
+        out.mkdir()
+        limit = os.pathconf(out, "PC_NAME_MAX")
+    assert run(["plot", "mini", "-i", str(src), "-o", str(out)]) == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: plot '{a}_vs_{b}' needs a 275-byte file name, over the "
+        f"{limit}-byte limit of {out}\n")
+    assert not list(out.glob("*.svg")) if exists else not out.exists()
 
 
 def test_plot_mini_zero_column_on_a_later_pair_writes_nothing(tmp_path,

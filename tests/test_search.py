@@ -463,6 +463,39 @@ def test_tie_band_rescores_on_corpus(fixture_matrix, mode, rescored):
     assert counts == rescored
 
 
+def _log_score(rows):
+    """``log factor + mean log span``: the log of the nth-root score,
+    with no box volume to underflow."""
+    dists = [math.dist(a, b) for a, b in combinations(rows, 2)]
+    mu = math.fsum(dists) / len(dists)
+    var_d = math.fsum((d - mu) ** 2 for d in dists) / len(dists)
+    spans = [max(c) - min(c) for c in zip(*rows)]
+    return (math.log(1.0 - var_d / (len(spans) / 4.0))
+            + math.fsum(map(math.log, spans)) / len(spans))
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 3, step B: the product of 200 spans near 0.05 "
+           "underflows, so max mode's ranks 2-3 and all of min mode's "
+           "top-3 score 0.0 and fall to name order")
+def test_many_axes_rank_as_in_log_space():
+    """12 clustered rows over 200 axes: the size-3 top-3 of each mode
+    equals a brute force ranked by the log of the score."""
+    x = 0.4 + 0.05 * np.random.default_rng(0).random((12, 200))
+    names = [f"d{i:02d}" for i in range(12)]
+    matrix = make_matrix(dict(zip(names, x.tolist())))
+    logs = {idx: _log_score(x[list(idx)].tolist())
+            for idx in combinations(range(12), 3)}
+    got, want = {}, {}
+    for mode, sign in (("max", -1.0), ("min", 1.0)):
+        top = exhaustive_search(matrix, 3, mode, top_k=3).top
+        got[mode] = [s.datasets for s in top]
+        ranked = sorted(logs, key=lambda idx: (sign * logs[idx], idx))
+        want[mode] = [tuple(names[i] for i in idx) for idx in ranked[:3]]
+    assert got == want
+
+
 @settings(deadline=None)
 @given(matrix=tied_matrices(), data=st.data())
 def test_greedy_matches_scalar_reference(matrix, data):
