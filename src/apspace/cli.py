@@ -23,7 +23,7 @@ from .core import ApsError, PerformanceMatrix
 from . import ingest
 from .metrics import (DIFFICULTY_ORIENTATIONS, DIVERSITY_VARIANTS,
                       metric_table)
-from .pca import IMPUTATION_MODES, pca_project
+from .pca import IMPUTATION_MODES, TooFewRowsError, pca_project
 from .search import (SEARCH_MODES, _prepare, exhaustive_search,
                      greedy_search)
 from .viz import PlotSpec, mini_aps_grid, pca_scatter_svg
@@ -326,11 +326,17 @@ def _cmd_select(matrix: PerformanceMatrix, cfg: RunConfig,
 
 def _project(matrix: PerformanceMatrix, cfg: RunConfig, k: int):
     """``pca_project`` under the configured imputation; says on stderr
-    how many datasets it left out, and which imputation keeps them."""
-    projection = pca_project(matrix, k=k, imputation=cfg.pca_imputation)
-    _warn_left_out(matrix, len(projection.dataset_ids),
-                   "projection; --pca-imputation "
-                   + " or ".join(IMPUTATION_MODES[1:]) + " keeps them")
+    how many datasets it left out, and which imputation keeps them, also
+    when too few rows are left to project."""
+    what = ("projection; --pca-imputation "
+            + " or ".join(IMPUTATION_MODES[1:]) + " keeps them")
+    try:
+        projection = pca_project(matrix, k=k, imputation=cfg.pca_imputation)
+    except TooFewRowsError:
+        if cfg.pca_imputation == IMPUTATION_MODES[0]:
+            _warn_left_out(matrix, int(matrix.complete.sum()), what)
+        raise
+    _warn_left_out(matrix, len(projection.dataset_ids), what)
     return projection
 
 

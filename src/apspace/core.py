@@ -61,10 +61,10 @@ class PerformanceMatrix:
     or ``None`` where no result exists.  Rows and columns keep the order
     they were first seen in; use :func:`build_matrix` to construct one
     with full validation.  ``values`` is the one owner of the float view,
-    NaN for each gap, and ``complete`` of row completeness, which it
-    reads from that view: :func:`build_matrix` refuses NaN scores, so a
-    NaN there is always a gap.  Both are cached, read-only, as is
-    ``complete_points``, which the searches read.
+    NaN for each gap, and ``present`` of the gaps, as the one reader of
+    NaN there (:func:`build_matrix` refuses NaN scores); ``complete`` and
+    :meth:`present_mean` read it.  The three views are cached, read-only,
+    as is ``complete_points``, which the searches read.
     """
 
     algorithms: tuple[str, ...]
@@ -103,18 +103,29 @@ class PerformanceMatrix:
         """All scores for one dataset, in algorithm order."""
         return self.cells[self.dataset_index(dataset)]
 
-    def column(self, algorithm: str) -> tuple[Score, ...]:
-        """All scores for one algorithm, in dataset order."""
-        j = self.algorithm_index(algorithm)
-        return tuple(r[j] for r in self.cells)
+    @cached_property
+    def present(self) -> np.ndarray:
+        """Per-cell bool mask: True where a score exists, read from the
+        float view, where a gap is NaN."""
+        mask = ~np.isnan(self.values)
+        mask.flags.writeable = False
+        return mask
 
     @cached_property
     def complete(self) -> np.ndarray:
-        """Per-row bool mask: True where every algorithm has a score,
-        read from the float view, where a gap is NaN."""
-        mask = ~np.isnan(self.values).any(axis=1)
+        """Per-row bool mask: True where every algorithm has a score."""
+        mask = self.present.all(axis=1)
         mask.flags.writeable = False
         return mask
+
+    def present_mean(self, axis: int) -> np.ndarray:
+        """The mean of the present scores of each column (``axis=0``) or
+        row (``axis=1``), ``0.0`` where there are none, each sum added by
+        :func:`left_sum` in matrix order, as the scalar mean adds it: a
+        gap adds ``+0.0``, which leaves a sum from ``+0.0`` unchanged."""
+        filled = np.where(self.present, self.values, 0.0)
+        total = left_sum(np.moveaxis(filled, axis, 0))
+        return total / np.maximum(self.present.sum(axis=axis), 1)
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -190,9 +201,9 @@ def _check_label(label: str, kind: str) -> str:
 
 def _sound_grid(grid: Grid) -> PerformanceMatrix | None:
     """The matrix of ``grid`` when the record loop of :func:`build_matrix`
-    would accept every record of it, else ``None``.  The range and
-    empty-row checks run on the matrix's own ``values``, so that float
-    view is made once, and cached."""
+    would accept every record of it, else ``None``.  The range check
+    runs on the matrix's own ``values`` and the empty-row check on its
+    ``present``, so that float view is made once, and cached."""
     try:
         for label in grid.datasets:
             _check_label(label, "dataset")
@@ -210,7 +221,7 @@ def _sound_grid(grid: Grid) -> PerformanceMatrix | None:
     # NaN, a gap or a float NaN, is never in range: every cell that is
     # not a gap must be
     in_range = np.count_nonzero((values >= 0.0) & (values <= 1.0))
-    if in_range + gaps != values.size or np.isnan(values).all(axis=1).any():
+    if in_range + gaps != values.size or not matrix.present.any(axis=1).all():
         return None
     return matrix
 

@@ -23,8 +23,6 @@ from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .core import (ApsError, EmptyRowError, Grid, PerformanceMatrix, Score,
                    _check_label, build_matrix)
 
@@ -328,7 +326,7 @@ def validate(matrix: PerformanceMatrix) -> ValidationReport:
     defined variance; an incomplete dataset is excluded from subset
     search.
     """
-    counts = matrix.n_algorithms - np.isnan(matrix.values).sum(axis=1)
+    counts = matrix.present.sum(axis=1)
     present = int(counts.sum())
     total = matrix.n_datasets * matrix.n_algorithms
     warnings = []
@@ -357,10 +355,11 @@ def fixture_path(name: str) -> Path:
     return _FIXTURE_DIR / name
 
 
-def _fixture_rows(name: str) -> Iterator[list[str]]:
-    """The non-blank rows after the header of a bundled fixture CSV."""
+def _fixture_rows(name: str) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank rows after the header of a bundled fixture CSV, each
+    with the line number it ends on."""
     rows, _ = _reader(fixture_path(name).read_text(encoding="utf-8"))
-    return (row for _, row in rows if row)
+    return ((line_num, row) for line_num, row in rows if row)
 
 
 def load_thesis_matrix() -> PerformanceMatrix:
@@ -372,16 +371,18 @@ def load_thesis_matrix() -> PerformanceMatrix:
 def load_thesis_metric_columns() -> dict[str, tuple[float, float | None]]:
     """Published (difficulty, variance) per dataset, as printed (4 d.p.).
 
-    Variance is ``None`` where fewer than two results existed.
+    Variance is ``None`` where fewer than two results existed.  Both are
+    read as score tokens, by :func:`_parse_score`.
     """
-    return {row[0]: (float(row[6]), None if row[7] == "NaN" else float(row[7]))
-            for row in _fixture_rows("thesis_results.csv")}
+    return {row[0]: (_parse_score(row[6], line_num),
+                     _parse_score(row[7], line_num))
+            for line_num, row in _fixture_rows("thesis_results.csv")}
 
 
 def load_thesis_metadata() -> list[tuple[str, int, int, int]]:
     """Corpus metadata rows: (dataset, interactions, users, items)."""
     return [(r[0], int(r[1]), int(r[2]), int(r[3]))
-            for r in _fixture_rows("thesis_datasets.csv")]
+            for _, r in _fixture_rows("thesis_datasets.csv")]
 
 
 __all__ = [

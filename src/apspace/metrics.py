@@ -204,33 +204,28 @@ class MetricReport:
         return vals[m] if len(vals) % 2 else (vals[m - 1] + vals[m]) / 2.0
 
 
-def _gap_as_zero(x: np.ndarray) -> np.ndarray:
-    """``x`` with each NaN (a gap) as ``+0.0``.  A sum from ``+0.0`` of
-    finite terms never reaches ``-0.0``, so adding one changes nothing."""
-    return np.where(np.isnan(x), 0.0, x)
-
-
 def metric_table(matrix: PerformanceMatrix,
                  orientation: str = DIFFICULTY_ORIENTATIONS[0]
                  ) -> MetricReport:
     """Difficulty and Variance for every dataset, in matrix row order.
 
-    Every row is summarised at once from ``matrix.values``.  Each row's
-    present scores, and their gaps pair by pair in
-    ``itertools.combinations`` order, are added column by column from
-    ``+0.0``, the order :func:`difficulty` and :func:`variance` add in,
-    so each number equals theirs bit for bit.  Memory stays linear in
-    the row count.
+    Every row's mean is ``matrix.present_mean(axis=1)``, and its gaps,
+    pair by pair in ``itertools.combinations`` order, are added column
+    by column from ``+0.0``, a pair with a gap adding ``+0.0`` (``|a - b|``
+    of filled scores is finite), the order :func:`difficulty` and
+    :func:`variance` add in, so each number equals theirs bit for bit.
+    Memory stays linear in the row count.
     """
     if orientation not in DIFFICULTY_ORIENTATIONS:
         raise ValueError(f"unknown orientation {orientation!r}")
-    columns = matrix.values.T
-    present = matrix.n_algorithms - np.isnan(columns).sum(axis=0)
+    present = matrix.present.sum(axis=1)
     if not present.all():
         raise NoDataError("difficulty needs at least one present score")
-    mean = left_sum(map(_gap_as_zero, columns)) / present
-    gaps = left_sum(_gap_as_zero(abs(a - b))
-                    for a, b in combinations(columns, 2))
+    mean = matrix.present_mean(axis=1)
+    columns = zip(np.where(matrix.present, matrix.values, 0.0).T,
+                  matrix.present.T)
+    gaps = left_sum(abs(a - b) * (p & q)
+                    for (a, p), (b, q) in combinations(columns, 2))
     pairs = present * (present - 1) // 2
     gap_mean = gaps / np.maximum(pairs, 1)
     difficulties = mean if orientation == "raw-mean" else 1.0 - mean

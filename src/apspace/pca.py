@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ApsError, LengthMismatchError, PerformanceMatrix,
-                   left_sum)
+from .core import ApsError, LengthMismatchError, PerformanceMatrix
 
 # the first value is the default
 IMPUTATION_MODES = ("complete-rows-only", "zero-fill", "mean-fill")
@@ -143,15 +142,6 @@ class PcaProjection:
     imputation: str
 
 
-def _column_means(values: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """The mean of each column's present values (``0.0`` where it has
-    none), each sum added row by row from ``+0.0`` as the scalar mean of
-    the column's present scores adds it.  A gap adds ``+0.0``, which
-    leaves a sum from ``+0.0`` unchanged."""
-    total = left_sum(np.where(gaps, 0.0, values))
-    return total / np.maximum(len(values) - gaps.sum(axis=0), 1)
-
-
 def pca_project(matrix: PerformanceMatrix, k: int = 2,
                 imputation: str = IMPUTATION_MODES[0]) -> PcaProjection:
     """Project datasets onto the top-k principal axes of their spread.
@@ -162,8 +152,9 @@ def pca_project(matrix: PerformanceMatrix, k: int = 2,
     * ``zero-fill``          — gaps become 0.0 (treats a missing result
       as a zero score, which drags those points toward the origin);
     * ``mean-fill``          — gaps become their column's present-value
-      mean, i.e. missing results are assumed unremarkable.  This is the
-      mode that reproduces the bundled fixture's published figures.
+      mean (``matrix.present_mean(axis=0)``), i.e. missing results are
+      assumed unremarkable.  This is the mode that reproduces the
+      bundled fixture's published figures.
     """
     if imputation not in IMPUTATION_MODES:
         raise ValueError(f"unknown imputation mode {imputation!r}")
@@ -175,11 +166,10 @@ def pca_project(matrix: PerformanceMatrix, k: int = 2,
         names = [d for d, ok in zip(matrix.datasets, matrix.complete) if ok]
         x = matrix.values[matrix.complete]
     else:
-        gaps = np.isnan(matrix.values)
-        fills = (_column_means(matrix.values, gaps)
+        fills = (matrix.present_mean(axis=0)
                  if imputation == "mean-fill" else 0.0)
         names = list(matrix.datasets)
-        x = np.where(gaps, fills, matrix.values)
+        x = np.where(matrix.present, matrix.values, fills)
     if len(x) < 2:
         raise TooFewRowsError(
             f"projection needs >= 2 usable rows, got {len(x)}")

@@ -147,7 +147,7 @@ def _distances(rows, PT):
     return np.sqrt(out, out=out)
 
 
-def _block_keyer(P, n_axes, variant, sign, full=None):
+def _block_keyer(P, variant, sign, full=None):
     """Return ``keys(pre, start)``: the ``B x (n - start)`` keys ``sign *
     score`` of every ``pre[b] + (j,)`` with ``j >= start`` over the points
     ``P``, by ``metrics._factor`` and ``metrics._coverage``.  Each prefix's
@@ -170,6 +170,7 @@ def _block_keyer(P, n_axes, variant, sign, full=None):
     prefixes' own rows of distances, ``(k - 1) x n`` for one prefix.
     Every distance sums the same terms in axis order, so the keys do not
     depend on which of these paths computed them."""
+    n_axes = P.shape[1]
     PT = P.T.copy()
 
     def keys(pre, start):
@@ -316,7 +317,7 @@ def _seed_cut(Q, variant, sign, full, size, top_k):
     n = len(Q)
     if n - size + 1 < top_k:
         return math.inf
-    keys_of = _block_keyer(Q, Q.shape[1], variant, sign, full)
+    keys_of = _block_keyer(Q, variant, sign, full)
     chain = [0]
     while True:
         keys = keys_of(np.array([chain]), 0)[0]
@@ -357,8 +358,8 @@ def _top(P, variant, sign, blocks, top_k, order=None, full=None,
     """
     n_axes = P.shape[1]
     rank = np.arange(len(P)) if order is None else order
-    keys_of = _block_keyer(P if order is None else P[order], n_axes,
-                           variant, sign, full)
+    keys_of = _block_keyer(P if order is None else P[order], variant, sign,
+                           full)
     best = []
 
     def worst():

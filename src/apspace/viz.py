@@ -228,9 +228,9 @@ class _MiniPlots:
         self.matrix = matrix
         order, self.tails = _point_tails(spec, matrix.datasets)
         self.values = matrix.values[order]
-        self.present = ~np.isnan(self.values)
-        self._column_max = np.fmax.reduce(self.values, axis=0,
-                                          initial=-np.inf)
+        self.present = matrix.present[order]
+        self._column_max = np.where(self.present, self.values, -np.inf).max(
+            axis=0, initial=-np.inf)
         self._text: dict[tuple[Callable, int], np.ndarray] = {}
         self.frame = _frame(("0", "0.5", "1"))
 

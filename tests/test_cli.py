@@ -271,6 +271,29 @@ def test_rows_left_out_are_named_on_stderr(outdir, capsys, command, what):
     assert err[:-1] == warning and err[-1].startswith("wrote ")
 
 
+@pytest.mark.parametrize("command, text, warned", [
+    (["pca"], "dataset,a,b\nd1,0.1,0.2\nd2,,0.5\nd3,0.4,\n", True),
+    (["plot", "pca"], "dataset,a,b\nd1,0.1,0.2\nd2,,0.5\nd3,0.4,\n", True),
+    (["pca", "--pca-imputation", "mean-fill"], "dataset,a,b\nd1,0.1,0.2\n",
+     False),
+], ids=["pca", "plot-pca", "one-row-mean-fill"])
+def test_rows_left_out_are_named_when_too_few_are_left(tmp_path, capsys,
+                                                       command, text, warned):
+    """When fewer than two rows are left to project, the datasets a gap
+    left out are named before the error; where none was left out, only
+    the error is printed."""
+    src = tmp_path / "gappy.csv"
+    src.write_text(text, encoding="utf-8")
+    assert run([*command, "-i", str(src), "-o", str(tmp_path / "out")]) == 2
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if not line.startswith("config: ")]
+    warning = [f"warning: 2 of 3 datasets have missing scores and are left "
+               f"out of the projection{_KEEPS}"] if warned else []
+    assert err == [*warning,
+                   "error: projection needs >= 2 usable rows, got 1"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_plot_mini_writes_all_panels(outdir, capsys):
     assert run(["plot", "mini", "-i", FIXTURE, "-o", str(outdir)]) == 0
     files = sorted(p.name for p in outdir.glob("*.svg"))

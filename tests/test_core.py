@@ -30,7 +30,6 @@ def test_build_matrix_registers_gaps():
     assert m.row("d") == (0.5, None)
     # cell never mentioned at all is a gap too
     assert m.row("e") == (None, 0.25)
-    assert m.column("b") == (None, 0.25)
     assert not m.is_complete("d")
 
 
@@ -128,14 +127,20 @@ def test_complete_and_values_match_cells(m):
     for row, got in zip(m.cells, m.values.tolist()):
         assert all(math.isnan(g) if v is None else g == v
                    for v, g in zip(row, got))
+    assert m.present.dtype == np.bool_
+    assert m.present.tolist() == [[v is not None for v in row]
+                                  for row in m.cells]
     assert m.complete.tolist() == [None not in row for row in m.cells]
     assert m.complete.tolist() == [m.is_complete(d) for d in m.datasets]
     # cached: every caller shares one array, so none may write into it
     assert m.values is m.values and m.complete is m.complete
+    assert m.present is m.present
     with pytest.raises(ValueError):
         m.values[...] = 0.5
     with pytest.raises(ValueError):
         m.complete[...] = True
+    with pytest.raises(ValueError):
+        m.present[...] = True
 
 
 def test_complete_rows_fixture_count(fixture_matrix):

@@ -1,7 +1,6 @@
 import math
 from itertools import permutations
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -13,7 +12,6 @@ from apspace.metrics import (DIFFICULTY_ORIENTATIONS, DimensionMismatchError,
                              IncompletePointError, NoDataError,
                              TooFewPointsError, difficulty, diversity,
                              metric_table, variance)
-from apspace.pca import _column_means
 
 
 # ---------------------------------------------------------------- difficulty
@@ -324,6 +322,6 @@ def test_bulk_summaries_match_the_scalar_path_bit_for_bit(drawn, orientation):
 
     columns = [[v for v in column if v is not None]
                for column in zip(*m.cells)] or [[]] * width
-    means = _column_means(m.values, np.isnan(m.values))
+    means = m.present_mean(axis=0)
     assert [repr(float(v)) for v in means] == [
         repr(_scalar_mean(column) if column else 0.0) for column in columns]

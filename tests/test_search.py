@@ -586,9 +586,9 @@ def test_block_keys_match_scalar_scores(matrix, data, batch):
     greedy = (np.array([subset]), 0, np.isin(np.arange(n), subset)[None])
     for sign in (-1.0, 1.0):
         for variant in ("nth-root", "literal-sqrt"):
-            keys_of = search._block_keyer(P, n_axes, variant, sign,
+            keys_of = search._block_keyer(P, variant, sign,
                                           search._distances(P, P.T))
-            rows_of = search._block_keyer(P, n_axes, variant, sign)
+            rows_of = search._block_keyer(P, variant, sign)
             before = rows_of(*greedy[:2])
             seen = []
             for pre, start, skip in [greedy, *blocks]:

@@ -1,10 +1,13 @@
-"""The test settings in ``pyproject.toml`` report failures, not crash."""
+"""The test settings in ``pyproject.toml`` report failures, not crash,
+and the source keeps one reader for each spelling of a gap."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+SRC = PYPROJECT.parent / "src" / "apspace"
 
 PROBES = '''\
 import warnings
@@ -43,3 +46,36 @@ def test_failing_property_prints_its_example(tmp_path):
     assert done.returncode == 1, output
     assert "Falsifying example" in output
     assert "3 failed" in output
+
+
+def _scopes_of(picks):
+    """``(module, enclosing class and def names)`` of every node of the
+    package's source for which ``picks(node)`` is true."""
+    found = set()
+
+    def visit(node, path, scope):
+        if picks(node):
+            found.add((path.name, ".".join(scope)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = (*scope, node.name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, ())
+    return found
+
+
+def test_gaps_have_one_reader():
+    """NaN in the float view is read as a gap only by
+    ``PerformanceMatrix.present``, and the token ``"NaN"`` only by
+    ``ingest._parse_score``."""
+    assert _scopes_of(lambda node: (
+        isinstance(node, ast.Attribute) and node.attr in ("isnan", "fmax")
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy"))) == {
+            ("core.py", "PerformanceMatrix.present")}
+    assert _scopes_of(lambda node: (
+        isinstance(node, ast.Constant) and node.value == "NaN")) == {
+            ("ingest.py", "_parse_score")}
