@@ -440,6 +440,7 @@ def _cmd_report(matrix: PerformanceMatrix, cfg: RunConfig,
         lines.append(f"| {r.dataset} | {_fmt4(r.difficulty)} | {var} | "
                      f"{r.present_count} |")
     lines += ["", "## Most diverse selections", ""]
+    _warn_left_out(matrix, rep.complete_row_count, "search")
     sizes = [s for s in (2, 3, 4) if s <= rep.complete_row_count]
     if not sizes:
         lines.append("Too few complete rows for subset search.")
@@ -457,7 +458,7 @@ def _cmd_report(matrix: PerformanceMatrix, cfg: RunConfig,
     lines += ["", "## Projection", ""]
     try:
         k = min(2, matrix.n_algorithms)
-        projection = pca_project(matrix, k=k, imputation=cfg.pca_imputation)
+        projection = _project(matrix, cfg, k)
         ratios = ", ".join(
             map(_fmt4, projection.explained_variance_ratio.tolist()))
         lines.append(f"Explained variance ratios (k={k}, "

@@ -12,14 +12,16 @@ numbers; writers emit shortest-round-trip floats so parse(write(m)) == m.
 Every CSV text, the user's input and the bundled fixtures alike, is read
 through :func:`_reader`, which owns the checks on the text itself: a BOM,
 NUL characters, a quote left open or followed by more text in its field,
-and the csv module's own faults.
+and the csv module's own faults.  Each wide row is checked as
+:func:`_blocks` reads it (its width, its dataset name, the header's
+algorithm column), and each score token by :func:`_parse_score`.
 """
 
 import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -114,70 +116,69 @@ def _plain_rows(text: str, first: int) -> Iterator[tuple[int, list[str]]]:
             (line.split(",") if line else [] for line in lines), first)
 
 
-def _blocks(rows: Iterator[tuple[int, list[str]]], size: int
+def _blocks(rows: Iterator[tuple[int, list[str]]], width: int
             ) -> Iterator[list[tuple[int, list[str]]]]:
-    """The non-blank ``rows``, ``size`` at a time.  When the reader
-    raises, the rows it read before the fault are yielded first, so a
-    fault they hold is raised before the reader's: the first fault in
-    file order wins."""
-    block = []
+    """The non-blank wide ``rows`` under a header of ``width`` fields, at
+    most ``_BLOCK`` score fields at a time (one row, if a row has more).
+
+    Each row is checked as it is read: it must have ``width`` fields,
+    then a dataset name, then the header an algorithm column.  When a
+    check or the reader raises, the rows read before the fault are
+    yielded first, so a fault they hold is raised before it: the first
+    fault in file order wins."""
+    size, block = max(_BLOCK // max(width - 1, 1), 1), []
     try:
         for line, row in rows:
-            if row:
-                block.append((line, row))
-                if len(block) == size:
-                    yield block
-                    block = []
+            if not row:
+                continue
+            if len(row) != width:
+                raise RaggedRowError(
+                    f"line {line}: expected {width} fields, got {len(row)}")
+            name = row[0].strip()
+            if not name:
+                raise MalformedRowError(f"line {line}: empty dataset name")
+            if width == 1:
+                raise EmptyRowError(f"dataset {name!r} has no present scores")
+            block.append((line, row))
+            if len(block) == size:
+                yield block
+                block = []
     except ApsError:
-        yield block
+        if block:
+            yield block
         raise
     if block:
         yield block
 
 
-def _wide_block(block: list[tuple[int, list[str]]], width: int
+def _wide_block(block: list[tuple[int, list[str]]]
                 ) -> tuple[list[str], list[list[Score]]]:
-    """The dataset names and the score rows of a block of wide rows, each
-    given as its line number and its fields, under a header of ``width``
-    fields.
+    """The dataset names and the score rows of a non-empty block of wide
+    rows that :func:`_blocks` checked, each given as its line number and
+    its fields.
 
-    When every row has ``width`` fields and a name, and the header has an
-    algorithm column, the block's score tokens are read in one pass: by
-    one ``map(float)`` when none is empty, else by one comprehension
-    that makes each empty token a gap.  Only the tokens the pass read as
-    NaN (a ``NaN`` gap, or ``nan``) are read again, by
-    :func:`_parse_score`, which cannot raise on tokens ``float`` read.
-    Any other block, one that the pass raises on included, is read row
-    by row by the reference rule: a ragged row, then an empty name, then
-    no algorithm column, then :func:`_parse_score` on each token.  So the
-    block's first fault in file order is the one raised."""
+    The block's score tokens are read in one pass: by one ``map(float)``
+    when none is empty, else by one comprehension that makes each empty
+    token a gap.  Only the tokens the pass read as NaN (a ``NaN`` gap,
+    or ``nan``) are read again, by :func:`_parse_score`, which cannot
+    raise on tokens ``float`` read.  When the pass raises, every token
+    is read by :func:`_parse_score`, in file order, so the block's first
+    bad token is the one raised."""
     names = [row[0].strip() for _, row in block]
-    if width > 1 and all(names) and {len(r) for _, r in block} == {width}:
-        tokens = [c for _, row in block for c in row[1:]]
-        try:
-            scores = (list(map(float, tokens)) if "" not in tokens
-                      else [float(c) if c else None for c in tokens])
-        except ValueError:  # a blank gap or a bad token: read by the rule
-            pass
-        else:
-            step = width - 1
-            rows = [scores[i:i + step] for i in range(0, len(scores), step)]
-            if math.isnan(sum(filter(None, scores))):
-                rows = [[_parse_score(c, line) if v != v else v
-                         for c, v in zip(raw[1:], row)]
-                        if math.isnan(sum(filter(None, row))) else row
-                        for (line, raw), row in zip(block, rows)]
-            return names, rows
-    rows = []
-    for name, (line, row) in zip(names, block):
-        if len(row) != width:
-            raise RaggedRowError(
-                f"line {line}: expected {width} fields, got {len(row)}")
-        if not name:
-            raise MalformedRowError(f"line {line}: empty dataset name")
-        if width == 1:
-            raise EmptyRowError(f"dataset {name!r} has no present scores")
-        rows.append([_parse_score(c, line) for c in row[1:]])
+    tokens = [c for _, row in block for c in row[1:]]
+    try:
+        scores = (list(map(float, tokens)) if "" not in tokens
+                  else [float(c) if c else None for c in tokens])
+    except ValueError:  # a blank gap or a bad token: read by the rule
+        return names, [[_parse_score(c, line) for c in row[1:]]
+                       for line, row in block]
+    step = len(block[0][1]) - 1
+    rows = [scores[i:i + step] for i in range(0, len(scores), step)]
+    if math.isnan(sum(filter(None, scores))):
+        rows = [[_parse_score(c, line) if v != v else v
+                 for c, v in zip(raw[1:], row)]
+                if math.isnan(sum(filter(None, row))) else row
+                for (line, raw), row in zip(block, rows)]
     return names, rows
 
 
@@ -249,14 +250,14 @@ def parse_wide(text: str) -> PerformanceMatrix:
     the algorithm columns (zero columns is allowed so degenerate matrices
     round-trip).  Every row must match the header width.
 
-    The non-blank rows are read a block of at most ``_BLOCK`` score
-    fields at a time (see :func:`_blocks`), each block by
-    :func:`_wide_block`: in one pass when it is well formed, else row by
-    row by the rule of :func:`parse_long`, so the first fault in file
-    order is the one reported.  The rows go to :func:`build_matrix` as
-    one :class:`~apspace.core.Grid`, which it checks in bulk; only when a
-    check fails does it replay the grid record by record.  A header-only
-    text keeps its algorithm columns, each a valid name given once.
+    The non-blank rows are checked as they are read, a block of at most
+    ``_BLOCK`` score fields at a time (see :func:`_blocks`), and each
+    block's scores are converted by :func:`_wide_block`, so the first
+    fault in file order is the one reported.  The rows go to
+    :func:`build_matrix` as one :class:`~apspace.core.Grid`, which it
+    checks in bulk; only when a check fails does it replay the grid
+    record by record.  A header-only text keeps its algorithm columns,
+    each a valid name given once.
     """
     rows, header = _reader(text)
     if not header or header[0] != "dataset":
@@ -264,9 +265,8 @@ def parse_wide(text: str) -> PerformanceMatrix:
             f"expected wide header starting with 'dataset', got {header!r}")
     algorithms = header[1:]
     datasets, cells = [], []
-    blocks = _blocks(rows, max(_BLOCK // max(len(algorithms), 1), 1))
     # map keeps no block alive while _blocks reads the next
-    for names, scores in map(_wide_block, blocks, repeat(len(header))):
+    for names, scores in map(_wide_block, _blocks(rows, len(header))):
         datasets += names
         cells += scores
     if not cells:

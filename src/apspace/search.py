@@ -181,15 +181,12 @@ def _block_keyer(P, variant, sign, full=None):
             for col in PT[1:]:  # in axis order, as the scalar product runs
                 vol *= np.subtract(col[pre], col[start:], out=span)
             np.abs(vol, out=vol)
-        else:
-            box = PT[:, cols]
-            ends = PT[:, None, start:]
-            span = np.maximum(box.max(axis=1)[..., None], ends)
-            span -= np.minimum(box.min(axis=1)[..., None], ends)
-            vol = span.prod(axis=0)
-        coverage = _coverage(vol, n_axes, variant)
-        if len(cols) == 1:
-            return sign * coverage
+            return sign * _coverage(vol, n_axes, variant)
+        box = PT[:, cols]
+        ends = PT[:, None, start:]
+        span = np.maximum(box.max(axis=1)[..., None], ends)
+        span -= np.minimum(box.min(axis=1)[..., None], ends)
+        coverage = _coverage(span.prod(axis=0), n_axes, variant)
         if full is None:  # row at[r, b] of D: point r of prefix b
             D, at = _distances(P[pre.ravel()], PT), np.arange(pre.size)
             at = at.reshape(pre.shape).T

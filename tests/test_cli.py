@@ -271,9 +271,13 @@ def test_rows_left_out_are_named_on_stderr(outdir, capsys, command, what):
     assert err[:-1] == warning and err[-1].startswith("wrote ")
 
 
+# one complete row of three: too few to project
+_FEW = "dataset,a,b\nd1,0.1,0.2\nd2,,0.5\nd3,0.4,\n"
+
+
 @pytest.mark.parametrize("command, text, warned", [
-    (["pca"], "dataset,a,b\nd1,0.1,0.2\nd2,,0.5\nd3,0.4,\n", True),
-    (["plot", "pca"], "dataset,a,b\nd1,0.1,0.2\nd2,,0.5\nd3,0.4,\n", True),
+    (["pca"], _FEW, True),
+    (["plot", "pca"], _FEW, True),
     (["pca", "--pca-imputation", "mean-fill"], "dataset,a,b\nd1,0.1,0.2\n",
      False),
 ], ids=["pca", "plot-pca", "one-row-mean-fill"])
@@ -292,6 +296,28 @@ def test_rows_left_out_are_named_when_too_few_are_left(tmp_path, capsys,
     assert err == [*warning,
                    "error: projection needs >= 2 usable rows, got 1"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, flags, left, whats", [
+    (None, [], "32 of 71", ["search", "projection" + _KEEPS]),
+    (None, ["--pca-imputation", "mean-fill"], "32 of 71", ["search"]),
+    (_FEW, [], "2 of 3", ["search", "projection" + _KEEPS]),
+], ids=["corpus", "corpus-mean-fill", "too-few-left"])
+def test_report_names_rows_left_out_on_stderr(tmp_path, capsys, text, flags,
+                                              left, whats):
+    """``report`` says how many datasets its search left out, then how
+    many its projection left out under ``complete-rows-only``, also when
+    too few are left to project; ``report.md`` is still written."""
+    src, out = FIXTURE, tmp_path / "out"
+    if text is not None:
+        src = tmp_path / "gappy.csv"
+        src.write_text(text, encoding="utf-8")
+    assert run(["report", *flags, "-i", str(src), "-o", str(out)]) == 0
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if not line.startswith("config: ")]
+    assert err == [*(f"warning: {left} datasets have missing scores and are "
+                     f"left out of the {what}" for what in whats),
+                   f"wrote {out / 'report.md'}"]
 
 
 def test_plot_mini_writes_all_panels(outdir, capsys):

@@ -172,10 +172,11 @@ def csv_texts(draw):
     """Wide, long or shapeless CSV with hostile labels, and what the
     error of a command over it must contain (``None``: any outcome).
     Half the texts are well-formed, half of those quoted only where a
-    cell needs it; the rest may put any token in any cell, end in ragged
-    rows and leave quotes and line breaks unquoted.  A quarter of the
-    fully quoted texts lose their last closing quote: those must fail, on
-    that quote if nothing else is wrong."""
+    cell needs it; the rest may put any token in any cell, hold ragged
+    rows anywhere among the others and leave quotes and line breaks
+    unquoted.  A quarter of the fully quoted texts lose their last
+    closing quote: those must fail, on that quote if nothing else is
+    wrong."""
     width = draw(st.integers(1, 4))
     hostile = draw(st.booleans())
     cell = tokens if hostile else score_texts
@@ -195,8 +196,11 @@ def csv_texts(draw):
         header = draw(st.lists(tokens, min_size=1, max_size=width))
         rows = []
     if hostile or shape == "shapeless":
-        rows += draw(st.lists(st.lists(tokens, max_size=width + 2),
-                              max_size=3))
+        # each at a drawn place, so a fault may come before or after
+        # another row's, in one block of rows or across blocks
+        for row in draw(st.lists(st.lists(tokens, max_size=width + 2),
+                                 max_size=3)):
+            rows.insert(draw(st.integers(0, len(rows))), row)
     expect = None
     if hostile and draw(st.booleans()):
         # raw joins: stray quotes and embedded line breaks stay as drawn

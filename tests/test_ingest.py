@@ -196,9 +196,9 @@ def test_parse_wide_reads_a_bounded_block_at_a_time(monkeypatch, width):
     alone has more, whichever path reads it."""
     fields = []
 
-    def counted(block, width):
+    def counted(block):
         fields.append(sum(len(row) - 1 for _, row in block))
-        return wide_block(block, width)
+        return wide_block(block)
 
     wide_block = ingest._wide_block
     # each row has a score, and the blocks take both paths

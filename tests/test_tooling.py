@@ -1,5 +1,6 @@
 """The test settings in ``pyproject.toml`` report failures, not crash,
-and the source keeps one reader for each spelling of a gap."""
+the source keeps one reader for each spelling of a gap, and one owner
+for each wide-row rule."""
 
 import ast
 import subprocess
@@ -79,3 +80,22 @@ def test_gaps_have_one_reader():
     assert _scopes_of(lambda node: (
         isinstance(node, ast.Constant) and node.value == "NaN")) == {
             ("ingest.py", "_parse_score")}
+
+
+def test_wide_row_rules_have_one_owner():
+    """``ingest`` raises a ragged wide row, an empty dataset name and a
+    header with no algorithm column only in ``_blocks``, which checks
+    each row as it reads it."""
+    def wide_row_fault(node):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)):
+            return False
+        text = "".join(part.value for part in ast.walk(node)
+                       if isinstance(part, ast.Constant)
+                       and isinstance(part.value, str))
+        return (node.func.id == "RaggedRowError"
+                or "empty dataset name" in text
+                or "has no present scores" in text)
+
+    assert {scope for scope in _scopes_of(wide_row_fault)
+            if scope[0] == "ingest.py"} == {("ingest.py", "_blocks")}
